@@ -4,6 +4,8 @@
 // policy was consistently better than all others" — the zoo is intentionally
 // diverse so that finding can re-emerge: queue-order policies (FCFS/LIFO),
 // size-based (SJF/LJF/WideFirst), backfilling, randomized, and fair-share.
+// The queue-order and size-based policies and EASY-BF have static order
+// keys (policy.hpp); RANDOM and FAIR order the queue on every pass.
 
 #include <cstdint>
 
@@ -16,7 +18,7 @@ namespace atlarge::sched {
 class FcfsPolicy final : public Policy {
  public:
   std::string name() const override { return "FCFS"; }
-  void order(std::vector<TaskRef>& q, const SchedState& s) override;
+  bool order_key(const TaskRef& t, OrderKey& k) const override;
   std::unique_ptr<Policy> clone() const override;
 };
 
@@ -24,7 +26,7 @@ class FcfsPolicy final : public Policy {
 class EasyBackfillingPolicy final : public Policy {
  public:
   std::string name() const override { return "EASY-BF"; }
-  void order(std::vector<TaskRef>& q, const SchedState& s) override;
+  bool order_key(const TaskRef& t, OrderKey& k) const override;
   bool backfilling() const override { return true; }
   std::unique_ptr<Policy> clone() const override;
 };
@@ -33,7 +35,7 @@ class EasyBackfillingPolicy final : public Policy {
 class SjfPolicy final : public Policy {
  public:
   std::string name() const override { return "SJF"; }
-  void order(std::vector<TaskRef>& q, const SchedState& s) override;
+  bool order_key(const TaskRef& t, OrderKey& k) const override;
   std::unique_ptr<Policy> clone() const override;
 };
 
@@ -42,7 +44,7 @@ class SjfPolicy final : public Policy {
 class LjfPolicy final : public Policy {
  public:
   std::string name() const override { return "LJF"; }
-  void order(std::vector<TaskRef>& q, const SchedState& s) override;
+  bool order_key(const TaskRef& t, OrderKey& k) const override;
   std::unique_ptr<Policy> clone() const override;
 };
 
@@ -51,7 +53,7 @@ class LjfPolicy final : public Policy {
 class WideFirstPolicy final : public Policy {
  public:
   std::string name() const override { return "WIDE"; }
-  void order(std::vector<TaskRef>& q, const SchedState& s) override;
+  bool order_key(const TaskRef& t, OrderKey& k) const override;
   std::unique_ptr<Policy> clone() const override;
 };
 

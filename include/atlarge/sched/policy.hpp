@@ -9,6 +9,16 @@
 // policy — including nested copies of itself — uniformly, which is exactly
 // the property Section 6.6 of the paper needs: "simulate all the
 // alternatives" online.
+//
+// Static-order contract. A policy whose order is a fixed function of each
+// task (FCFS, SJF, ...) says so by implementing order_key(). The simulator
+// then keeps its eligible queue sorted by that key as tasks become
+// eligible, and on every scheduling pass calls neither order() nor tick():
+// the key replaces the per-pass sort, and such a policy's tick() must be
+// the free default. A policy whose order depends on state that changes
+// while tasks wait (an RNG, per-user usage, a delegate chosen at run time)
+// returns false from order_key() and orders the queue in order() on every
+// pass instead.
 
 #include <cstdint>
 #include <memory>
@@ -27,6 +37,29 @@ struct TaskRef {
   double eligible_time = 0.0; // when dependencies completed
   std::string user;
 };
+
+/// A task's static sort key: tasks are placed in increasing key order.
+/// Keys compare by `major`, then `minor`, then the (job_id, task_id)
+/// identity, so every key order is total and simulation stays
+/// deterministic. Descending orders negate their fields.
+struct OrderKey {
+  double major = 0.0;
+  double minor = 0.0;
+  std::uint64_t job_id = 0;
+  std::uint32_t task_id = 0;
+
+  friend bool operator<(const OrderKey& a, const OrderKey& b) noexcept {
+    if (a.major != b.major) return a.major < b.major;
+    if (a.minor != b.minor) return a.minor < b.minor;
+    if (a.job_id != b.job_id) return a.job_id < b.job_id;
+    return a.task_id < b.task_id;
+  }
+};
+
+/// Reorders `queue` by increasing key, where keys[i] is the key of
+/// queue[i]: one sort over the POD keys, then one gather of the tasks.
+void order_by_key(std::vector<TaskRef>& queue,
+                  const std::vector<OrderKey>& keys);
 
 /// Cluster state snapshot offered to policies at decision time.
 struct SchedState {
@@ -49,18 +82,25 @@ class Policy {
   virtual std::string name() const = 0;
 
   /// Orders the eligible queue in-place; the simulator places tasks from
-  /// the front. Must be a permutation (no adds/removes).
-  virtual void order(std::vector<TaskRef>& queue, const SchedState& state) = 0;
+  /// the front. Must be a permutation (no adds/removes). The default sorts
+  /// by order_key() and throws std::logic_error for a policy without one.
+  virtual void order(std::vector<TaskRef>& queue, const SchedState& state);
+
+  /// The task's static sort key (see the contract above). Returns false,
+  /// the default, when the policy has no key; a policy must answer the
+  /// same for every task.
+  virtual bool order_key(const TaskRef& task, OrderKey& key) const;
 
   /// When true, the simulator applies EASY backfilling: the head task
   /// reserves its earliest feasible start, and later tasks may jump the
   /// queue only if they do not delay that reservation.
   virtual bool backfilling() const { return false; }
 
-  /// Called on every scheduling event before placement. Returns a decision
-  /// overhead in seconds; the simulator delays placement by that amount.
-  /// Default: zero (instant decisions). The portfolio scheduler uses this
-  /// hook to run (and charge for) its nested simulations.
+  /// Called on every scheduling event before placement, for policies
+  /// without an order_key(). Returns a decision overhead in seconds; the
+  /// simulator delays placement by that amount. Default: zero (instant
+  /// decisions). The portfolio scheduler uses this hook to run (and charge
+  /// for) its nested simulations.
   virtual double tick(const SchedState& state,
                       const std::vector<TaskRef>& queue);
 

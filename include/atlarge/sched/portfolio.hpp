@@ -59,8 +59,9 @@ struct PortfolioConfig {
   /// Threads used to run the candidate what-if simulations of one tick()
   /// concurrently; 0 or 1 evaluates serially. Results are bitwise
   /// identical to the serial order for any thread count: every candidate
-  /// gets a cloned policy, a private snapshot copy, and its own RNG
-  /// stream, and the selection reduction runs serially in candidate order.
+  /// gets a cloned policy and its own RNG stream, all candidates only read
+  /// the round's shared snapshot (simulate() never writes its workload),
+  /// and the selection reduction runs serially in candidate order.
   std::size_t eval_threads = 1;
   /// Optional instrumentation plane (not owned, may be null): emits a
   /// "portfolio.select" span per selection round plus round/what-if
@@ -103,8 +104,8 @@ class PortfolioScheduler final : public Policy {
 
   /// Mean bounded slowdown of the snapshot under policy `pi`, with the
   /// round's noise applied. Thread-safe for distinct `pi`: works on a
-  /// cloned policy, a private snapshot copy, and a per-(candidate, round)
-  /// RNG stream.
+  /// cloned policy and a per-(candidate, round) RNG stream, and only reads
+  /// the shared snapshot.
   double evaluate(std::size_t pi, const workflow::Workload& snapshot,
                   std::uint64_t round) const;
 

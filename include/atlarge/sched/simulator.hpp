@@ -4,20 +4,22 @@
 //
 // Semantics:
 //  * A task needs `cores` on a *single* machine; runtime scales inversely
-//    with machine speed. Tasks whose core demand exceeds every machine are
-//    rejected at ingest (std::invalid_argument).
-//  * On every scheduling event the policy orders the eligible queue; the
-//    simulator then places tasks greedily in that order, skipping tasks
-//    that do not currently fit ("first fit in policy order"). Policies
-//    with backfilling() == true instead protect the queue head with an
-//    EASY-style reservation: a later task may overtake only if it finishes
-//    before the head's earliest feasible start.
+//    with machine speed. Tasks whose core demand exceeds every machine, and
+//    jobs that share an id, are rejected at ingest (std::invalid_argument).
+//  * On every scheduling event the eligible queue is put in policy order
+//    (kept sorted by a static-order policy's key, else sorted by the
+//    policy's order()); the simulator then places tasks greedily in that
+//    order, skipping tasks that do not currently fit ("first fit in policy
+//    order"). Policies with backfilling() == true instead protect the
+//    queue head with an EASY-style reservation: a later task may overtake
+//    only if it finishes before the head's earliest feasible start.
 //  * Geo-distributed environments charge env.inter_cluster_latency once
 //    per task dispatched outside cluster 0.
-//  * Policy::tick may return a decision overhead; the simulator freezes
-//    placement (but not arrivals/completions) for that long, modeling the
-//    paper's finding that portfolio simulation time can make a scheduler
-//    "no longer ... run online".
+//  * Policy::tick (called on policies without a static order key) may
+//    return a decision overhead; the simulator freezes placement (but not
+//    arrivals/completions) for that long, modeling the paper's finding
+//    that portfolio simulation time can make a scheduler "no longer ...
+//    run online".
 
 #include <cstdint>
 #include <limits>

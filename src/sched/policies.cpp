@@ -1,73 +1,80 @@
 #include "atlarge/sched/policies.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace atlarge::sched {
-namespace {
 
-/// Stable tie-break: job id then task id, so every policy is a total order
-/// and simulation stays deterministic.
-bool by_identity(const TaskRef& a, const TaskRef& b) {
-  if (a.job_id != b.job_id) return a.job_id < b.job_id;
-  return a.task_id < b.task_id;
+void order_by_key(std::vector<TaskRef>& queue,
+                  const std::vector<OrderKey>& keys) {
+  struct Slot {
+    OrderKey key;
+    std::size_t index;
+  };
+  std::vector<Slot> slots(queue.size());
+  for (std::size_t i = 0; i < queue.size(); ++i) slots[i] = {keys[i], i};
+  std::sort(slots.begin(), slots.end(),
+            [](const Slot& a, const Slot& b) { return a.key < b.key; });
+  std::vector<TaskRef> sorted;
+  sorted.reserve(queue.size());
+  for (const Slot& slot : slots) sorted.push_back(std::move(queue[slot.index]));
+  queue.swap(sorted);
 }
 
-}  // namespace
+void Policy::order(std::vector<TaskRef>& queue, const SchedState&) {
+  std::vector<OrderKey> keys(queue.size());
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    if (!order_key(queue[i], keys[i]))
+      throw std::logic_error(name() + ": policy has neither order() nor "
+                                      "order_key()");
+  }
+  order_by_key(queue, keys);
+}
+
+bool Policy::order_key(const TaskRef&, OrderKey&) const { return false; }
 
 double Policy::tick(const SchedState&, const std::vector<TaskRef>&) {
   return 0.0;
 }
 
-void FcfsPolicy::order(std::vector<TaskRef>& q, const SchedState&) {
-  std::sort(q.begin(), q.end(), [](const TaskRef& a, const TaskRef& b) {
-    if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
-    if (a.eligible_time != b.eligible_time)
-      return a.eligible_time < b.eligible_time;
-    return by_identity(a, b);
-  });
+bool FcfsPolicy::order_key(const TaskRef& t, OrderKey& k) const {
+  k = {t.submit_time, t.eligible_time, t.job_id, t.task_id};
+  return true;
 }
 
 std::unique_ptr<Policy> FcfsPolicy::clone() const {
   return std::make_unique<FcfsPolicy>();
 }
 
-void EasyBackfillingPolicy::order(std::vector<TaskRef>& q,
-                                  const SchedState& s) {
-  FcfsPolicy{}.order(q, s);
+bool EasyBackfillingPolicy::order_key(const TaskRef& t, OrderKey& k) const {
+  return FcfsPolicy{}.order_key(t, k);
 }
 
 std::unique_ptr<Policy> EasyBackfillingPolicy::clone() const {
   return std::make_unique<EasyBackfillingPolicy>();
 }
 
-void SjfPolicy::order(std::vector<TaskRef>& q, const SchedState&) {
-  std::sort(q.begin(), q.end(), [](const TaskRef& a, const TaskRef& b) {
-    if (a.runtime != b.runtime) return a.runtime < b.runtime;
-    return by_identity(a, b);
-  });
+bool SjfPolicy::order_key(const TaskRef& t, OrderKey& k) const {
+  k = {t.runtime, 0.0, t.job_id, t.task_id};
+  return true;
 }
 
 std::unique_ptr<Policy> SjfPolicy::clone() const {
   return std::make_unique<SjfPolicy>();
 }
 
-void LjfPolicy::order(std::vector<TaskRef>& q, const SchedState&) {
-  std::sort(q.begin(), q.end(), [](const TaskRef& a, const TaskRef& b) {
-    if (a.runtime != b.runtime) return a.runtime > b.runtime;
-    return by_identity(a, b);
-  });
+bool LjfPolicy::order_key(const TaskRef& t, OrderKey& k) const {
+  k = {-t.runtime, 0.0, t.job_id, t.task_id};
+  return true;
 }
 
 std::unique_ptr<Policy> LjfPolicy::clone() const {
   return std::make_unique<LjfPolicy>();
 }
 
-void WideFirstPolicy::order(std::vector<TaskRef>& q, const SchedState&) {
-  std::sort(q.begin(), q.end(), [](const TaskRef& a, const TaskRef& b) {
-    if (a.cores != b.cores) return a.cores > b.cores;
-    if (a.runtime != b.runtime) return a.runtime > b.runtime;
-    return by_identity(a, b);
-  });
+bool WideFirstPolicy::order_key(const TaskRef& t, OrderKey& k) const {
+  k = {-static_cast<double>(t.cores), -t.runtime, t.job_id, t.task_id};
+  return true;
 }
 
 std::unique_ptr<Policy> WideFirstPolicy::clone() const {
@@ -95,13 +102,11 @@ void FairSharePolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
       if (name == user) return used;
     return 0.0;
   };
-  std::sort(q.begin(), q.end(), [&](const TaskRef& a, const TaskRef& b) {
-    const double ua = usage_of(a.user);
-    const double ub = usage_of(b.user);
-    if (ua != ub) return ua < ub;
-    if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
-    return by_identity(a, b);
-  });
+  std::vector<OrderKey> keys(q.size());
+  for (std::size_t i = 0; i < q.size(); ++i)
+    keys[i] = {usage_of(q[i].user), q[i].submit_time, q[i].job_id,
+               q[i].task_id};
+  order_by_key(q, keys);
 }
 
 std::unique_ptr<Policy> FairSharePolicy::clone() const {

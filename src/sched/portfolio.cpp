@@ -98,8 +98,7 @@ double PortfolioScheduler::evaluate(std::size_t pi,
                                     const workflow::Workload& snapshot,
                                     std::uint64_t round) const {
   auto probe = policies_[pi]->clone();
-  const workflow::Workload local = snapshot;  // private copy per candidate
-  const SchedResult r = simulate(env_, local, *probe);
+  const SchedResult r = simulate(env_, snapshot, *probe);
   double utility = r.mean_slowdown;
   if (config_.utility_noise > 0.0) {
     stats::Rng noise(mix_stream(mix_stream(config_.seed, pi), round));
@@ -129,7 +128,7 @@ double PortfolioScheduler::tick(const SchedState& state,
   const std::uint64_t round = round_++;
 
   // Phase 1 — measure: run every candidate's what-if simulation, each on a
-  // cloned policy, a private snapshot copy, and its own RNG stream.
+  // cloned policy and its own RNG stream; all read the one snapshot.
   // Utilities land in per-candidate slots, so thread scheduling cannot
   // affect the result.
   std::vector<double> utilities(candidates.size(), 0.0);

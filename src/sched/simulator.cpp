@@ -47,6 +47,13 @@ struct MachineState {
   bool down = false;         // crashed, awaiting restart
 };
 
+/// An eligible task; `key` is set on the static-order path only.
+struct Queued {
+  OrderKey key;
+  std::uint32_t ji = 0;
+  std::uint32_t ti = 0;
+};
+
 struct RunningTask {
   double finish = 0.0;
   std::uint32_t machine = 0;
@@ -109,13 +116,18 @@ class SchedEngine {
             flight_->entity("machine/" + std::to_string(mi)));
     }
 
+    OrderKey probe;
+    static_order_ = policy_.order_key(TaskRef{}, probe);
+
     jobs_.reserve(workload.jobs.size());
+    job_index_.reserve(workload.jobs.size());
     for (const auto& job : workload.jobs) {
       for (const auto& t : job.tasks) {
         if (t.cores > max_cores)
           throw std::invalid_argument(
               "simulate: task demands more cores than any machine offers");
       }
+      job_index_.emplace_back(job.id, jobs_.size());
       JobState js;
       js.job = &job;
       js.remaining = job.tasks.size();
@@ -124,6 +136,13 @@ class SchedEngine {
         js.tasks[ti].remaining_deps =
             static_cast<std::uint32_t>(job.tasks[ti].deps.size());
       jobs_.push_back(std::move(js));
+    }
+    std::sort(job_index_.begin(), job_index_.end());
+    for (std::size_t i = 1; i < job_index_.size(); ++i) {
+      if (job_index_[i].first == job_index_[i - 1].first)
+        throw std::invalid_argument(
+            "simulate: duplicate job id (Workload::normalize assigns "
+            "distinct ids)");
     }
 
     // Pre-size the kernel for the run's concurrent-event ceiling: one
@@ -185,7 +204,7 @@ class SchedEngine {
     auto& m = machines_[mi];
     m.free = std::min(m.total, m.free + cores);
     observe_busy();
-    if (!eligible_.empty()) request_pass();
+    if (!queue_.empty()) request_pass();
   }
 
   void fail_machine(std::size_t mi, double duration) {
@@ -241,14 +260,12 @@ class SchedEngine {
       }
       it->completion.cancel();
       result_.machine_busy_seconds[mi] -= it->finish - sim_.now();
-      auto& js = jobs_[it->ji];
-      js.tasks[it->ti].status = TaskStatus::kEligible;
-      js.tasks[it->ti].eligible_time = sim_.now();
-      eligible_.emplace_back(it->ji, it->ti);
+      make_eligible(it->ji, it->ti);
       ++result_.tasks_requeued;
       if (flight_ != nullptr)
         flight_->record(flight_entity_[mi], sim_.now(), "requeue",
-                        static_cast<double>(js.job->id), crash_seq);
+                        static_cast<double>(jobs_[it->ji].job->id),
+                        crash_seq);
       m.free += it->cores;
       it = running_.erase(it);
     }
@@ -273,13 +290,23 @@ class SchedEngine {
     auto& js = jobs_[ji];
     js.arrived = true;
     for (std::size_t ti = 0; ti < js.tasks.size(); ++ti) {
-      if (js.tasks[ti].remaining_deps == 0) {
-        js.tasks[ti].status = TaskStatus::kEligible;
-        js.tasks[ti].eligible_time = sim_.now();
-        eligible_.emplace_back(ji, ti);
-      }
+      if (js.tasks[ti].remaining_deps == 0) make_eligible(ji, ti);
     }
     request_pass();
+  }
+
+  /// Marks a task eligible now and queues it. On the static-order path
+  /// its key is taken here, once; the next pass merges it into the sorted
+  /// queue.
+  void make_eligible(std::size_t ji, std::size_t ti) {
+    auto& ts = jobs_[ji].tasks[ti];
+    ts.status = TaskStatus::kEligible;
+    ts.eligible_time = sim_.now();
+    Queued q;
+    q.ji = static_cast<std::uint32_t>(ji);
+    q.ti = static_cast<std::uint32_t>(ti);
+    if (static_order_) policy_.order_key(make_ref(ji, ti), q.key);
+    queue_.push_back(q);
   }
 
   void request_pass() {
@@ -353,6 +380,14 @@ class SchedEngine {
     return shadow;
   }
 
+  /// Largest free-core count on any up machine: no wider task fits now.
+  std::uint32_t widest_free() const {
+    std::uint32_t widest = 0;
+    for (const auto& m : machines_)
+      if (!m.down) widest = std::max(widest, m.free);
+    return widest;
+  }
+
   /// First machine that fits, preferring faster machines then lower ids.
   std::size_t find_fit(std::uint32_t cores) const {
     std::size_t best = machines_.size();
@@ -369,7 +404,7 @@ class SchedEngine {
 
   void pass() {
     pass_pending_ = false;
-    if (eligible_.empty()) return;
+    if (queue_.empty()) return;
     if (sim_.now() < blocked_until_) {
       sim_.schedule_at(blocked_until_, [this] { request_pass(); });
       return;
@@ -377,61 +412,102 @@ class SchedEngine {
 
     if (obs_ != nullptr) {
       passes_->add(1);
-      queue_depth_->set(static_cast<double>(eligible_.size()));
+      queue_depth_->set(static_cast<double>(queue_.size()));
       obs_->tracer.begin("sched.pass", "sched", sim_.now());
     }
-    std::vector<TaskRef> queue;
-    queue.reserve(eligible_.size());
-    for (const auto& [ji, ti] : eligible_) queue.push_back(make_ref(ji, ti));
-    const SchedState state = make_state(queue.size());
+    if (static_order_) {
+      // Merge the tasks that became eligible since the last pass into the
+      // sorted queue; the policy is not consulted.
+      const auto by_key = [](const Queued& a, const Queued& b) {
+        return a.key < b.key;
+      };
+      const auto tail = queue_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+      std::sort(tail, queue_.end(), by_key);
+      std::inplace_merge(queue_.begin(), tail, queue_.end(), by_key);
+      place_in_order(queue_);
+    } else {
+      std::vector<TaskRef> refs;
+      refs.reserve(queue_.size());
+      for (const Queued& q : queue_) refs.push_back(make_ref(q.ji, q.ti));
+      const SchedState state = make_state(refs.size());
 
-    const double overhead = policy_.tick(state, queue);
-    if (overhead > 0.0) {
-      blocked_until_ = sim_.now() + overhead;
-      result_.decision_overhead += overhead;
-      sim_.schedule_at(blocked_until_, [this] { request_pass(); });
-      if (obs_ != nullptr) obs_->tracer.end("sched.pass", "sched", sim_.now());
-      return;
+      const double overhead = policy_.tick(state, refs);
+      if (overhead > 0.0) {
+        blocked_until_ = sim_.now() + overhead;
+        result_.decision_overhead += overhead;
+        sim_.schedule_at(blocked_until_, [this] { request_pass(); });
+        if (obs_ != nullptr)
+          obs_->tracer.end("sched.pass", "sched", sim_.now());
+        return;
+      }
+
+      policy_.order(refs, state);
+      std::vector<Queued> order;
+      order.reserve(refs.size());
+      for (const TaskRef& ref : refs) {
+        Queued q;
+        if (resolve(ref, q)) order.push_back(q);  // else: a stale ref
+      }
+      place_in_order(order);
     }
+    // Placed tasks leave the queue; the rest keep their relative order.
+    std::erase_if(queue_, [this](const Queued& q) {
+      return jobs_[q.ji].tasks[q.ti].status != TaskStatus::kEligible;
+    });
+    sorted_ = queue_.size();
+    if (obs_ != nullptr) {
+      queue_depth_->set(static_cast<double>(queue_.size()));
+      obs_->tracer.end("sched.pass", "sched", sim_.now());
+    }
+  }
 
-    policy_.order(queue, state);
+  /// The job and task a policy's TaskRef names, by (job id, task id).
+  bool resolve(const TaskRef& ref, Queued& q) const {
+    const auto it = std::lower_bound(
+        job_index_.begin(), job_index_.end(),
+        std::pair<std::uint64_t, std::size_t>{ref.job_id, 0});
+    if (it == job_index_.end() || it->first != ref.job_id) return false;
+    if (ref.task_id >= jobs_[it->second].tasks.size()) return false;
+    q.ji = static_cast<std::uint32_t>(it->second);
+    q.ti = ref.task_id;
+    return true;
+  }
 
+  /// The placement loop: places tasks greedily in `order`, skipping those
+  /// that do not fit now; with backfilling, the first task that does not
+  /// fit reserves its earliest start and later tasks may only run if they
+  /// finish before it. Placed tasks are marked running but stay in
+  /// `order`, which may be queue_ itself; pass() drops them afterwards.
+  void place_in_order(const std::vector<Queued>& order) {
+    const bool backfilling = policy_.backfilling();
     bool constrain = false;
     double shadow = std::numeric_limits<double>::infinity();
-    for (const auto& ref : queue) {
-      const std::size_t mi = find_fit(ref.cores);
+    std::uint32_t widest = widest_free();
+    for (const Queued& q : order) {
+      const workflow::Task& task = jobs_[q.ji].job->tasks[q.ti];
+      const std::size_t mi =
+          task.cores <= widest ? find_fit(task.cores) : machines_.size();
       if (mi == machines_.size()) {
-        if (policy_.backfilling() && !constrain) {
+        if (backfilling && !constrain) {
           constrain = true;
-          shadow = compute_shadow(ref.cores);
+          shadow = compute_shadow(task.cores);
         }
         continue;
       }
       const double latency =
           machines_[mi].cluster == 0 ? 0.0 : env_.inter_cluster_latency;
-      const double elapsed = latency + ref.runtime / machines_[mi].speed;
+      const double elapsed = latency + task.runtime / machines_[mi].speed;
       if (constrain && sim_.now() + elapsed > shadow) continue;
-      place(ref, mi, elapsed);
-    }
-    if (obs_ != nullptr) {
-      queue_depth_->set(static_cast<double>(eligible_.size()));
-      obs_->tracer.end("sched.pass", "sched", sim_.now());
+      // A policy may list a task twice or name one that is not eligible.
+      if (jobs_[q.ji].tasks[q.ti].status != TaskStatus::kEligible) continue;
+      place(q.ji, q.ti, mi, elapsed);
+      widest = widest_free();
     }
   }
 
-  void place(const TaskRef& ref, std::size_t mi, double elapsed) {
-    // Locate the eligible entry (job_id is the index after normalize()).
-    const auto it = std::find_if(
-        eligible_.begin(), eligible_.end(), [&](const auto& e) {
-          return jobs_[e.first].job->id == ref.job_id &&
-                 e.second == ref.task_id;
-        });
-    if (it == eligible_.end()) return;  // policy returned a stale ref
-    const std::size_t ji = it->first;
-    const std::size_t ti = it->second;
-    eligible_.erase(it);
-
+  void place(std::size_t ji, std::size_t ti, std::size_t mi, double elapsed) {
     auto& js = jobs_[ji];
+    const std::uint32_t cores = js.job->tasks[ti].cores;
     js.tasks[ti].status = TaskStatus::kRunning;
     if (js.start < 0.0) js.start = sim_.now();
 
@@ -441,21 +517,21 @@ class SchedEngine {
       wait_hist_->observe(wait);
       wait_dig_->add(wait);
     }
-    machines_[mi].free -= ref.cores;
+    machines_[mi].free -= cores;
     observe_busy();
     result_.machine_busy_seconds[mi] += elapsed;
 
     RunningTask rt;
     rt.finish = sim_.now() + elapsed;
     rt.machine = static_cast<std::uint32_t>(mi);
-    rt.cores = ref.cores;
+    rt.cores = cores;
     rt.ji = ji;
     rt.ti = ti;
     if (flight_ != nullptr)
       rt.place_seq = flight_->record(flight_entity_[mi], sim_.now(), "place",
-                                     static_cast<double>(ref.job_id));
+                                     static_cast<double>(js.job->id));
     rt.completion = sim_.schedule_after(
-        elapsed, [this, ji, ti, mi, cores = ref.cores, elapsed] {
+        elapsed, [this, ji, ti, mi, cores, elapsed] {
           complete(ji, ti, mi, cores, elapsed);
         });
     running_.push_back(rt);
@@ -489,11 +565,8 @@ class SchedEngine {
       if (std::find(deps.begin(), deps.end(),
                     static_cast<workflow::TaskId>(ti)) == deps.end())
         continue;
-      if (--js.tasks[other].remaining_deps == 0 && js.arrived) {
-        js.tasks[other].status = TaskStatus::kEligible;
-        js.tasks[other].eligible_time = sim_.now();
-        eligible_.emplace_back(ji, other);
-      }
+      if (--js.tasks[other].remaining_deps == 0 && js.arrived)
+        make_eligible(ji, other);
     }
 
     if (--js.remaining == 0) js.finish = sim_.now();
@@ -573,7 +646,17 @@ class SchedEngine {
   bool external_ = false;
   std::vector<MachineState> machines_;
   std::vector<JobState> jobs_;
-  std::vector<std::pair<std::size_t, std::size_t>> eligible_;
+  /// (job id, index into jobs_), sorted: resolves a policy's TaskRefs.
+  std::vector<std::pair<std::uint64_t, std::size_t>> job_index_;
+  /// The policy has a static order key (policy.hpp): queue_ is kept
+  /// sorted by it and the policy is never asked to order or tick.
+  bool static_order_ = false;
+  /// Eligible tasks. On the static-order path queue_[0, sorted_) is in key
+  /// order and the tail holds tasks that became eligible since the last
+  /// pass; otherwise queue_ is in the order tasks became eligible, which
+  /// is the order policies see.
+  std::vector<Queued> queue_;
+  std::size_t sorted_ = 0;
   std::vector<RunningTask> running_;
   std::vector<std::pair<std::string, double>> user_usage_;
   stats::TimeWeighted busy_;

@@ -329,8 +329,9 @@ TEST(Integration, FaultInjectionMirrorsIntoObservabilityPlane) {
     EXPECT_EQ(counters.at("fault.recovered").value(),
               result.faults_recovered);
   }
-  if (result.failed_invocations > 0)
+  if (result.failed_invocations > 0) {
     EXPECT_EQ(counters.at("faas.failed").value(), result.failed_invocations);
+  }
   EXPECT_NE(plane.metrics.json().find("fault.injected"), std::string::npos);
 }
 

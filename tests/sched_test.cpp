@@ -1,7 +1,10 @@
 // Tests for the cluster scheduling simulator and the policy zoo.
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <memory>
+#include <string>
 #include <string_view>
 
 #include <gtest/gtest.h>
@@ -11,6 +14,7 @@
 #include "atlarge/obs/observability.hpp"
 #include "atlarge/sched/policies.hpp"
 #include "atlarge/sched/simulator.hpp"
+#include "atlarge/stats/rng.hpp"
 #include "atlarge/workflow/generators.hpp"
 
 namespace sched = atlarge::sched;
@@ -455,4 +459,230 @@ TEST(Faults, NullAndEmptyPlansKeepBaselineByteIdentical) {
   EXPECT_EQ(baseline.machine_busy_seconds, with_empty.machine_busy_seconds);
   EXPECT_EQ(with_empty.faults_injected, 0u);
   EXPECT_EQ(with_empty.tasks_requeued, 0u);
+}
+
+// ------------------------------------------------- static-order fast path --
+//
+// A policy with an order_key() runs on the simulator's incremental sorted
+// queue; the same policy behind a wrapper that hides its key runs on the
+// per-pass order() path. Both paths must produce the same schedule, bit for
+// bit, so the per-pass path is the oracle for the fast one.
+
+namespace {
+
+/// Forwards everything except order_key(), forcing per-pass order().
+class PerPassOrder final : public sched::Policy {
+ public:
+  explicit PerPassOrder(std::unique_ptr<sched::Policy> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  void order(std::vector<sched::TaskRef>& q,
+             const sched::SchedState& s) override {
+    inner_->order(q, s);
+  }
+  bool backfilling() const override { return inner_->backfilling(); }
+  double tick(const sched::SchedState& s,
+              const std::vector<sched::TaskRef>& q) override {
+    return inner_->tick(s, q);
+  }
+  std::unique_ptr<sched::Policy> clone() const override {
+    return std::make_unique<PerPassOrder>(inner_->clone());
+  }
+
+ private:
+  std::unique_ptr<sched::Policy> inner_;
+};
+
+std::vector<std::unique_ptr<sched::Policy>> static_policies() {
+  std::vector<std::unique_ptr<sched::Policy>> out;
+  out.push_back(std::make_unique<sched::FcfsPolicy>());
+  out.push_back(std::make_unique<sched::EasyBackfillingPolicy>());
+  out.push_back(std::make_unique<sched::SjfPolicy>());
+  out.push_back(std::make_unique<sched::LjfPolicy>());
+  out.push_back(std::make_unique<sched::WideFirstPolicy>());
+  return out;
+}
+
+/// Layered random DAGs with multi-core tasks, arriving in bursts so the
+/// queue builds up; runtimes are rounded to whole seconds so that ties in
+/// every key field are common and the (job, task) tie-break matters.
+wf::Workload random_dag_workload(std::uint64_t seed) {
+  atlarge::stats::Rng rng(seed);
+  wf::Workload wl;
+  for (std::size_t j = 0; j < 40; ++j) {
+    wf::Job job = wf::make_random_dag(
+        static_cast<std::size_t>(rng.uniform_int(1, 4)),
+        static_cast<std::size_t>(rng.uniform_int(1, 6)), 2, 40.0, rng);
+    for (auto& task : job.tasks) {
+      task.runtime = std::max(1.0, std::round(task.runtime / 10.0) * 10.0);
+      task.cores = static_cast<std::uint32_t>(rng.uniform_int(1, 8));
+    }
+    job.submit_time = std::round(rng.uniform(0.0, 1500.0) / 100.0) * 100.0;
+    job.user = "user" + std::to_string(j % 3);
+    wl.jobs.push_back(std::move(job));
+  }
+  wl.normalize();
+  return wl;
+}
+
+/// Machine crashes (which kill and re-queue running tasks) and slowdowns.
+atlarge::fault::FaultPlan crash_and_slowdown_plan(std::uint64_t seed,
+                                                  std::size_t machines) {
+  atlarge::stats::Rng rng(seed);
+  atlarge::fault::FaultPlan plan;
+  for (int i = 0; i < 12; ++i) {
+    const bool crash = i % 2 == 0;
+    plan.add({rng.uniform(0.0, 2500.0),
+              crash ? atlarge::fault::FaultKind::kMachineCrash
+                    : atlarge::fault::FaultKind::kSlowdown,
+              static_cast<std::uint32_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(machines) - 1)),
+              rng.uniform(20.0, 300.0), crash ? 1.0 : 0.5});
+  }
+  return plan;
+}
+
+void expect_identical(const sched::SchedResult& a,
+                      const sched::SchedResult& b, const std::string& what) {
+  ASSERT_EQ(a.jobs.size(), b.jobs.size()) << what;
+  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+    EXPECT_EQ(a.jobs[i].id, b.jobs[i].id) << what;
+    EXPECT_EQ(a.jobs[i].start, b.jobs[i].start) << what << " job " << i;
+    EXPECT_EQ(a.jobs[i].finish, b.jobs[i].finish) << what << " job " << i;
+  }
+  EXPECT_EQ(a.makespan, b.makespan) << what;
+  EXPECT_EQ(a.utilization, b.utilization) << what;
+  EXPECT_EQ(a.machine_busy_seconds, b.machine_busy_seconds) << what;
+  EXPECT_EQ(a.tasks_completed, b.tasks_completed) << what;
+  EXPECT_EQ(a.tasks_requeued, b.tasks_requeued) << what;
+  EXPECT_EQ(a.faults_injected, b.faults_injected) << what;
+  EXPECT_TRUE(a.wait_digest == b.wait_digest) << what;
+  EXPECT_TRUE(a.slowdown_digest == b.slowdown_digest) << what;
+}
+
+}  // namespace
+
+TEST(StaticOrder, IncrementalQueueMatchesPerPassOrder) {
+  const auto env = cluster::make_geo_distributed("g", 3, 2, 8, 0.05);
+  const std::size_t machines = env.all_machines().size();
+  std::size_t requeued = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto wl = random_dag_workload(seed);
+    const auto plan = crash_and_slowdown_plan(seed * 31, machines);
+    for (const bool faulty : {false, true}) {
+      sched::SimOptions options;
+      if (faulty) options.faults = &plan;
+      for (auto& policy : static_policies()) {
+        const std::string what = policy->name() + " seed " +
+                                 std::to_string(seed) +
+                                 (faulty ? " faulty" : "");
+        const auto fast = sched::simulate(env, wl, *policy, options);
+        PerPassOrder slow_policy(policy->clone());
+        const auto slow = sched::simulate(env, wl, slow_policy, options);
+        expect_identical(fast, slow, what);
+        if (faulty) requeued += fast.tasks_requeued;
+      }
+    }
+  }
+  EXPECT_GT(requeued, 0u) << "the crash plans must exercise the requeue path";
+}
+
+TEST(StaticOrder, OrderIsPermutationInvariantAndSortsByKey) {
+  atlarge::stats::Rng rng(5);
+  std::vector<sched::TaskRef> queue;
+  for (std::uint32_t i = 0; i < 200; ++i) {
+    sched::TaskRef ref;
+    ref.job_id = static_cast<std::uint64_t>(rng.uniform_int(0, 40));
+    ref.task_id = i;
+    ref.runtime = static_cast<double>(rng.uniform_int(1, 5));
+    ref.cores = static_cast<std::uint32_t>(rng.uniform_int(1, 4));
+    ref.submit_time = static_cast<double>(rng.uniform_int(0, 3));
+    ref.eligible_time = static_cast<double>(rng.uniform_int(0, 3));
+    queue.push_back(ref);
+  }
+  const auto identities = [](const std::vector<sched::TaskRef>& q) {
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
+    for (const auto& r : q) out.emplace_back(r.job_id, r.task_id);
+    return out;
+  };
+  const sched::SchedState state;
+  for (auto& policy : static_policies()) {
+    auto by_key = queue;
+    std::sort(by_key.begin(), by_key.end(),
+              [&](const sched::TaskRef& a, const sched::TaskRef& b) {
+                sched::OrderKey ka, kb;
+                EXPECT_TRUE(policy->order_key(a, ka));
+                EXPECT_TRUE(policy->order_key(b, kb));
+                return ka < kb;
+              });
+    for (int trial = 0; trial < 5; ++trial) {
+      auto shuffled = queue;
+      for (std::size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1],
+                  shuffled[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(i) - 1))]);
+      policy->order(shuffled, state);
+      EXPECT_EQ(identities(shuffled), identities(by_key)) << policy->name();
+    }
+  }
+}
+
+TEST(StaticOrder, KeyedPolicyIsNeverAskedToOrderOrTick) {
+  // The engine keeps a keyed policy's queue sorted itself; order() and
+  // tick() are for policies whose order changes while tasks wait.
+  struct Counting final : sched::Policy {
+    int calls = 0;
+    std::string name() const override { return "COUNTING"; }
+    void order(std::vector<sched::TaskRef>&,
+               const sched::SchedState&) override {
+      ++calls;
+    }
+    bool order_key(const sched::TaskRef& t,
+                   sched::OrderKey& k) const override {
+      k = {t.runtime, 0.0, t.job_id, t.task_id};
+      return true;
+    }
+    double tick(const sched::SchedState&,
+                const std::vector<sched::TaskRef>&) override {
+      ++calls;
+      return 0.0;
+    }
+    std::unique_ptr<sched::Policy> clone() const override {
+      return std::make_unique<Counting>();
+    }
+  };
+  const auto env = cluster::make_homogeneous_cluster("c", 1, 1);
+  auto wl = single_task_jobs({5.0, 1.0, 3.0});
+  Counting policy;
+  const auto result = sched::simulate(env, wl, policy);
+  EXPECT_EQ(policy.calls, 0);
+  EXPECT_DOUBLE_EQ(result.makespan, 9.0);
+  ASSERT_EQ(result.jobs.size(), 3u);
+  EXPECT_DOUBLE_EQ(result.jobs[1].finish, 1.0);  // shortest ran first
+}
+
+TEST(StaticOrder, PolicyWithoutKeyOrOrderThrows) {
+  struct Keyless final : sched::Policy {
+    std::string name() const override { return "KEYLESS"; }
+    std::unique_ptr<sched::Policy> clone() const override {
+      return std::make_unique<Keyless>();
+    }
+  };
+  Keyless policy;
+  std::vector<sched::TaskRef> queue(2);
+  EXPECT_THROW(policy.order(queue, sched::SchedState{}), std::logic_error);
+}
+
+TEST(Simulator, RejectsDuplicateJobIds) {
+  // Policies name tasks by (job id, task id), so ids must be distinct.
+  const auto env = cluster::make_homogeneous_cluster("c", 1, 2);
+  wf::Workload wl;
+  for (int i = 0; i < 2; ++i) {
+    wf::Job job;
+    job.id = 7;
+    job.tasks.push_back({1.0, 1, {}});
+    wl.jobs.push_back(job);
+  }
+  sched::FcfsPolicy policy;
+  EXPECT_THROW(sched::simulate(env, wl, policy), std::invalid_argument);
 }
