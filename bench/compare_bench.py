@@ -8,7 +8,9 @@ Usage:
 
 Benchmarks are matched by name. The compared metric is items_per_second
 when both sides report it (higher is better), falling back to real_time
-(lower is better). A benchmark regresses when it is worse than the
+(lower is better). A run made with --benchmark_repetitions=N holds N
+iteration entries per name; each side is then judged by their median, so
+one slow repetition cannot fail the gate nor one fast one set the bar. A benchmark regresses when it is worse than the
 baseline by more than --threshold (default 0.25, i.e. 25%). Benchmarks
 present on only one side are reported but never fail the gate (they are
 new or retired, not regressed).
@@ -32,18 +34,30 @@ import json
 import sys
 
 
+def median(values):
+    values = sorted(values)
+    mid = len(values) // 2
+    if len(values) % 2:
+        return values[mid]
+    return 0.5 * (values[mid - 1] + values[mid])
+
+
 def load_entries(doc):
-    """name -> (value, kind) for every non-aggregate benchmark entry."""
-    entries = {}
+    """name -> (value, kind) over the non-aggregate benchmark entries; the
+    value is the median of the repetitions that share the name."""
+    samples = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        name = bench["name"]
         if "items_per_second" in bench:
-            entries[name] = (float(bench["items_per_second"]), "items/s")
+            sample = (float(bench["items_per_second"]), "items/s")
         else:
-            entries[name] = (float(bench["real_time"]), "time")
-    return entries
+            sample = (float(bench["real_time"]), "time")
+        samples.setdefault(bench["name"], []).append(sample)
+    return {
+        name: (median(value for value, _ in reps), reps[0][1])
+        for name, reps in samples.items()
+    }
 
 
 def check_context(doc, label, warnings, errors):
@@ -177,14 +191,16 @@ def run_gate(args):
 
 
 def make_doc(values, build_type="Release", load=0.2, items=True):
+    """values: name -> one value, or a list of values (one per repetition)."""
     benchmarks = []
     for name, value in values.items():
-        entry = {"name": name, "real_time": 100.0, "run_type": "iteration"}
-        if items:
-            entry["items_per_second"] = value
-        else:
-            entry["real_time"] = value
-        benchmarks.append(entry)
+        for rep in value if isinstance(value, list) else [value]:
+            entry = {"name": name, "real_time": 100.0, "run_type": "iteration"}
+            if items:
+                entry["items_per_second"] = rep
+            else:
+                entry["real_time"] = rep
+            benchmarks.append(entry)
     return {
         "context": {
             "atlarge_build_type": build_type,
@@ -256,6 +272,25 @@ def self_test():
     warnings, errors = [], []
     check_context(make_doc({}, load=9.0), "x", warnings, errors)
     check("high load warns", (len(warnings), len(errors)), (1, 0))
+
+    # Repetitions sharing a name are judged by their median, not the first
+    # entry nor the mean: baseline [50, 100, 400] reads 100, so a current
+    # median of 80 passes, though the mean (~183) would fail it.
+    baseline = load_entries(make_doc({"BM_R": [50.0, 100.0, 400.0]}))
+    check("median of repetitions", baseline["BM_R"], (100.0, "items/s"))
+    _, regs = compare(
+        baseline, load_entries(make_doc({"BM_R": [80.0, 20.0, 81.0]})), 0.25
+    )
+    check("median within threshold passes", len(regs), 0)
+    _, regs = compare(
+        baseline, load_entries(make_doc({"BM_R": [70.0, 200.0, 60.0]})), 0.25
+    )
+    check("median beyond threshold fails", len(regs), 1)
+    check(
+        "even repetition count",
+        load_entries(make_doc({"BM_T": [90.0, 110.0]}, items=False))["BM_T"],
+        (100.0, "time"),
+    )
 
     # Aggregate entries (mean/median/stddev) are ignored.
     doc = make_doc({"BM_A/1": 100.0})

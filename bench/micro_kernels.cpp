@@ -355,7 +355,10 @@ BENCHMARK(BM_ClusterSchedule)->Arg(50)->Arg(200);
 // ------------------------------------------------------------- portfolio --
 
 // A synthetic eligible-queue for one portfolio decision: `n` tasks over
-// n/8 jobs and 4 users, deterministic runtimes/widths.
+// n/8 jobs and 4 users, deterministic runtimes/widths. TaskRef::user is a
+// view, so the user names live as long as the program.
+const std::string kPortfolioUsers[] = {"u0", "u1", "u2", "u3"};
+
 std::vector<sched::TaskRef> portfolio_queue(std::size_t n) {
   std::vector<sched::TaskRef> queue;
   queue.reserve(n);
@@ -366,7 +369,7 @@ std::vector<sched::TaskRef> portfolio_queue(std::size_t n) {
     ref.task_id = static_cast<std::uint32_t>(i % 8);
     ref.runtime = rng.uniform(5.0, 500.0);
     ref.cores = static_cast<std::uint32_t>(1 + i % 4);
-    ref.user = "u" + std::to_string(i % 4);
+    ref.user = kPortfolioUsers[i % 4];
     queue.push_back(std::move(ref));
   }
   return queue;

@@ -23,20 +23,30 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace atlarge::sched {
 
-/// A queued, eligible task as seen by a policy.
+/// A queued, eligible task as seen by a policy. Trivially copyable, so
+/// the simulator can hand policies a fresh copy of its queue on every pass
+/// at the cost of a memcpy.
 struct TaskRef {
   std::uint64_t job_id = 0;
   std::uint32_t task_id = 0;
-  double runtime = 0.0;       // reference-core runtime
   std::uint32_t cores = 1;
+  double runtime = 0.0;       // reference-core runtime
   double submit_time = 0.0;   // job submit time
   double eligible_time = 0.0; // when dependencies completed
-  std::string user;
+  /// A view of the job's user name, not a copy. The simulator points it
+  /// at the workload's workflow::Job::user, which outlives every policy
+  /// call of the run; whoever builds a TaskRef by hand must likewise keep
+  /// the viewed string alive for as long as the ref is used (never assign
+  /// it from a temporary std::string).
+  std::string_view user;
 };
+static_assert(std::is_trivially_copyable_v<TaskRef>);
 
 /// A task's static sort key: tasks are placed in increasing key order.
 /// Keys compare by `major`, then `minor`, then the (job_id, task_id)
@@ -58,6 +68,8 @@ struct OrderKey {
 
 /// Reorders `queue` by increasing key, where keys[i] is the key of
 /// queue[i]: one sort over the POD keys, then one gather of the tasks.
+/// Keys that are already in order leave `queue` untouched (no sort, no
+/// gather): a queue that became eligible in key order costs one scan.
 void order_by_key(std::vector<TaskRef>& queue,
                   const std::vector<OrderKey>& keys);
 
@@ -82,8 +94,10 @@ class Policy {
   virtual std::string name() const = 0;
 
   /// Orders the eligible queue in-place; the simulator places tasks from
-  /// the front. Must be a permutation (no adds/removes). The default sorts
-  /// by order_key() and throws std::logic_error for a policy without one.
+  /// the front. Should be a permutation; the simulator skips every ref
+  /// that does not name a still-eligible task, so stale refs and repeats
+  /// neither run nor take a backfilling reservation. The default sorts by
+  /// order_key() and throws std::logic_error for a policy without one.
   virtual void order(std::vector<TaskRef>& queue, const SchedState& state);
 
   /// The task's static sort key (see the contract above). Returns false,

@@ -2,27 +2,45 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 namespace atlarge::sched {
 
+namespace {
+
+/// Per-thread scratch for the per-pass sort, reused across passes so that
+/// ordering allocates nothing in the steady state. Policies run on one
+/// thread at a time (the portfolio clones them for parallel what-ifs), and
+/// nothing here re-enters itself, so one set per thread is enough.
+struct Slot {
+  OrderKey key;
+  std::size_t index;
+};
+thread_local std::vector<OrderKey> key_scratch;
+thread_local std::vector<Slot> slot_scratch;
+thread_local std::vector<TaskRef> gather_scratch;
+
+}  // namespace
+
 void order_by_key(std::vector<TaskRef>& queue,
                   const std::vector<OrderKey>& keys) {
-  struct Slot {
-    OrderKey key;
-    std::size_t index;
-  };
-  std::vector<Slot> slots(queue.size());
+  if (std::is_sorted(keys.begin(), keys.end())) return;
+  std::vector<Slot>& slots = slot_scratch;
+  slots.resize(queue.size());
   for (std::size_t i = 0; i < queue.size(); ++i) slots[i] = {keys[i], i};
   std::sort(slots.begin(), slots.end(),
             [](const Slot& a, const Slot& b) { return a.key < b.key; });
-  std::vector<TaskRef> sorted;
-  sorted.reserve(queue.size());
-  for (const Slot& slot : slots) sorted.push_back(std::move(queue[slot.index]));
+  std::vector<TaskRef>& sorted = gather_scratch;
+  sorted.resize(queue.size());
+  for (std::size_t i = 0; i < slots.size(); ++i)
+    sorted[i] = queue[slots[i].index];
   queue.swap(sorted);
 }
 
 void Policy::order(std::vector<TaskRef>& queue, const SchedState&) {
-  std::vector<OrderKey> keys(queue.size());
+  std::vector<OrderKey>& keys = key_scratch;
+  keys.resize(queue.size());
   for (std::size_t i = 0; i < queue.size(); ++i) {
     if (!order_key(queue[i], keys[i]))
       throw std::logic_error(name() + ": policy has neither order() nor "
@@ -96,13 +114,14 @@ std::unique_ptr<Policy> RandomPolicy::clone() const {
 }
 
 void FairSharePolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
-  const auto usage_of = [&](const std::string& user) {
+  const auto usage_of = [&](std::string_view user) {
     if (s.user_usage == nullptr) return 0.0;
     for (const auto& [name, used] : *s.user_usage)
       if (name == user) return used;
     return 0.0;
   };
-  std::vector<OrderKey> keys(q.size());
+  std::vector<OrderKey>& keys = key_scratch;
+  keys.resize(q.size());
   for (std::size_t i = 0; i < q.size(); ++i)
     keys[i] = {usage_of(q[i].user), q[i].submit_time, q[i].job_id,
                q[i].task_id};

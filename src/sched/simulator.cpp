@@ -297,7 +297,8 @@ class SchedEngine {
 
   /// Marks a task eligible now and queues it. On the static-order path
   /// its key is taken here, once; the next pass merges it into the sorted
-  /// queue.
+  /// queue. On the per-pass path its TaskRef is built here, once, into the
+  /// mirror every later pass hands to the policy.
   void make_eligible(std::size_t ji, std::size_t ti) {
     auto& ts = jobs_[ji].tasks[ti];
     ts.status = TaskStatus::kEligible;
@@ -305,7 +306,10 @@ class SchedEngine {
     Queued q;
     q.ji = static_cast<std::uint32_t>(ji);
     q.ti = static_cast<std::uint32_t>(ti);
-    if (static_order_) policy_.order_key(make_ref(ji, ti), q.key);
+    if (static_order_)
+      policy_.order_key(make_ref(ji, ti), q.key);
+    else
+      refs_.push_back(make_ref(ji, ti));
     queue_.push_back(q);
   }
 
@@ -353,7 +357,7 @@ class SchedEngine {
   }
 
   /// Earliest time a machine can host `cores` given current running tasks.
-  double compute_shadow(std::uint32_t cores) const {
+  double compute_shadow(std::uint32_t cores) {
     double shadow = std::numeric_limits<double>::infinity();
     for (std::size_t mi = 0; mi < machines_.size(); ++mi) {
       const auto& m = machines_[mi];
@@ -361,7 +365,8 @@ class SchedEngine {
       if (m.total < cores) continue;
       if (m.free >= cores) return sim_.now();
       // Running tasks on this machine, by finish time.
-      std::vector<const RunningTask*> local;
+      auto& local = shadow_scratch_;
+      local.clear();
       for (const auto& r : running_)
         if (r.machine == mi) local.push_back(&r);
       std::sort(local.begin(), local.end(),
@@ -415,6 +420,7 @@ class SchedEngine {
       queue_depth_->set(static_cast<double>(queue_.size()));
       obs_->tracer.begin("sched.pass", "sched", sim_.now());
     }
+    bool placed = false;
     if (static_order_) {
       // Merge the tasks that became eligible since the last pass into the
       // sorted queue; the policy is not consulted.
@@ -424,14 +430,10 @@ class SchedEngine {
       const auto tail = queue_.begin() + static_cast<std::ptrdiff_t>(sorted_);
       std::sort(tail, queue_.end(), by_key);
       std::inplace_merge(queue_.begin(), tail, queue_.end(), by_key);
-      place_in_order(queue_);
+      placed = place_in_order(queue_);
     } else {
-      std::vector<TaskRef> refs;
-      refs.reserve(queue_.size());
-      for (const Queued& q : queue_) refs.push_back(make_ref(q.ji, q.ti));
-      const SchedState state = make_state(refs.size());
-
-      const double overhead = policy_.tick(state, refs);
+      const SchedState state = make_state(refs_.size());
+      const double overhead = policy_.tick(state, refs_);
       if (overhead > 0.0) {
         blocked_until_ = sim_.now() + overhead;
         result_.decision_overhead += overhead;
@@ -441,19 +443,16 @@ class SchedEngine {
         return;
       }
 
-      policy_.order(refs, state);
-      std::vector<Queued> order;
-      order.reserve(refs.size());
-      for (const TaskRef& ref : refs) {
+      ordered_ = refs_;
+      policy_.order(ordered_, state);
+      order_.clear();
+      for (const TaskRef& ref : ordered_) {
         Queued q;
-        if (resolve(ref, q)) order.push_back(q);  // else: a stale ref
+        if (resolve(ref, q)) order_.push_back(q);  // else: a stale ref
       }
-      place_in_order(order);
+      placed = place_in_order(order_);
     }
-    // Placed tasks leave the queue; the rest keep their relative order.
-    std::erase_if(queue_, [this](const Queued& q) {
-      return jobs_[q.ji].tasks[q.ti].status != TaskStatus::kEligible;
-    });
+    if (placed) drop_placed();
     sorted_ = queue_.size();
     if (obs_ != nullptr) {
       queue_depth_->set(static_cast<double>(queue_.size()));
@@ -461,14 +460,35 @@ class SchedEngine {
     }
   }
 
+  /// Placed tasks leave the queue, and the mirror in lockstep; the rest
+  /// keep their relative order.
+  void drop_placed() {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < queue_.size(); ++i) {
+      const Queued& q = queue_[i];
+      if (jobs_[q.ji].tasks[q.ti].status != TaskStatus::kEligible) continue;
+      if (!static_order_) refs_[kept] = refs_[i];
+      queue_[kept++] = q;
+    }
+    queue_.resize(kept);
+    if (!static_order_) refs_.resize(kept);
+  }
+
   /// The job and task a policy's TaskRef names, by (job id, task id).
+  /// Job ids are usually positions (Workload::normalize and the
+  /// portfolio's snapshots number jobs 0..n-1), so the job at index
+  /// `job_id` is tried first; ids are distinct, so a match is the job.
   bool resolve(const TaskRef& ref, Queued& q) const {
-    const auto it = std::lower_bound(
-        job_index_.begin(), job_index_.end(),
-        std::pair<std::uint64_t, std::size_t>{ref.job_id, 0});
-    if (it == job_index_.end() || it->first != ref.job_id) return false;
-    if (ref.task_id >= jobs_[it->second].tasks.size()) return false;
-    q.ji = static_cast<std::uint32_t>(it->second);
+    std::size_t ji = ref.job_id;
+    if (ji >= jobs_.size() || jobs_[ji].job->id != ref.job_id) {
+      const auto it = std::lower_bound(
+          job_index_.begin(), job_index_.end(),
+          std::pair<std::uint64_t, std::size_t>{ref.job_id, 0});
+      if (it == job_index_.end() || it->first != ref.job_id) return false;
+      ji = it->second;
+    }
+    if (ref.task_id >= jobs_[ji].tasks.size()) return false;
+    q.ji = static_cast<std::uint32_t>(ji);
     q.ti = ref.task_id;
     return true;
   }
@@ -478,12 +498,17 @@ class SchedEngine {
   /// fit reserves its earliest start and later tasks may only run if they
   /// finish before it. Placed tasks are marked running but stay in
   /// `order`, which may be queue_ itself; pass() drops them afterwards.
-  void place_in_order(const std::vector<Queued>& order) {
+  /// Returns whether any task was placed.
+  bool place_in_order(const std::vector<Queued>& order) {
     const bool backfilling = policy_.backfilling();
     bool constrain = false;
+    bool placed = false;
     double shadow = std::numeric_limits<double>::infinity();
     std::uint32_t widest = widest_free();
     for (const Queued& q : order) {
+      // A policy may list a task twice or name one that is not eligible;
+      // such a stale entry neither runs nor takes the reservation.
+      if (jobs_[q.ji].tasks[q.ti].status != TaskStatus::kEligible) continue;
       const workflow::Task& task = jobs_[q.ji].job->tasks[q.ti];
       const std::size_t mi =
           task.cores <= widest ? find_fit(task.cores) : machines_.size();
@@ -498,11 +523,11 @@ class SchedEngine {
           machines_[mi].cluster == 0 ? 0.0 : env_.inter_cluster_latency;
       const double elapsed = latency + task.runtime / machines_[mi].speed;
       if (constrain && sim_.now() + elapsed > shadow) continue;
-      // A policy may list a task twice or name one that is not eligible.
-      if (jobs_[q.ji].tasks[q.ti].status != TaskStatus::kEligible) continue;
       place(q.ji, q.ti, mi, elapsed);
+      placed = true;
       widest = widest_free();
     }
+    return placed;
   }
 
   void place(std::size_t ji, std::size_t ti, std::size_t mi, double elapsed) {
@@ -657,6 +682,14 @@ class SchedEngine {
   /// is the order policies see.
   std::vector<Queued> queue_;
   std::size_t sorted_ = 0;
+  /// Per-pass path only: refs_[i] is queue_[i]'s TaskRef, built once when
+  /// the task became eligible. tick() reads it; order() permutes a copy.
+  std::vector<TaskRef> refs_;
+  /// Per-pass buffers, reused: the policy's permutation of refs_, and the
+  /// tasks it names, resolved for the placement loop.
+  std::vector<TaskRef> ordered_;
+  std::vector<Queued> order_;
+  std::vector<const RunningTask*> shadow_scratch_;  // compute_shadow
   std::vector<RunningTask> running_;
   std::vector<std::pair<std::string, double>> user_usage_;
   stats::TimeWeighted busy_;

@@ -183,6 +183,9 @@ TEST(Portfolio, SerialAndParallelRunsAreBitwiseIdentical) {
 
 namespace {
 
+// TaskRef::user is a view: the names it points at must outlive the queue.
+const std::string kUsers[] = {"u0", "u1", "u2"};
+
 std::vector<sched::TaskRef> synthetic_queue(std::size_t n) {
   std::vector<sched::TaskRef> queue;
   queue.reserve(n);
@@ -192,7 +195,7 @@ std::vector<sched::TaskRef> synthetic_queue(std::size_t n) {
     ref.task_id = static_cast<std::uint32_t>(i % 4);
     ref.runtime = static_cast<double>(1 + (i * 37) % 200);
     ref.cores = static_cast<std::uint32_t>(1 + i % 3);
-    ref.user = "u" + std::to_string(i % 3);
+    ref.user = kUsers[i % 3];
     queue.push_back(std::move(ref));
   }
   return queue;

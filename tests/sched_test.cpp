@@ -13,6 +13,7 @@
 #include "atlarge/fault/fault.hpp"
 #include "atlarge/obs/observability.hpp"
 #include "atlarge/sched/policies.hpp"
+#include "atlarge/sched/portfolio.hpp"
 #include "atlarge/sched/simulator.hpp"
 #include "atlarge/stats/rng.hpp"
 #include "atlarge/workflow/generators.hpp"
@@ -685,4 +686,240 @@ TEST(Simulator, RejectsDuplicateJobIds) {
   }
   sched::FcfsPolicy policy;
   EXPECT_THROW(sched::simulate(env, wl, policy), std::invalid_argument);
+}
+
+// --------------------------------------------------------- per-pass path --
+//
+// Policies without an order key get the engine's mirror of TaskRefs on
+// every pass: tick() reads it, order() permutes a copy, and the engine
+// resolves each returned ref back to its task, directly by position when
+// job ids are positions and through the sorted id index otherwise.
+
+namespace {
+
+/// `wl` with its job ids renumbered by `id_of(position)`; order-preserving
+/// renumberings leave every policy's decisions unchanged.
+template <typename IdOf>
+wf::Workload renumbered(wf::Workload wl, IdOf id_of) {
+  for (std::size_t i = 0; i < wl.jobs.size(); ++i) wl.jobs[i].id = id_of(i);
+  return wl;
+}
+
+std::unique_ptr<sched::PortfolioScheduler> small_portfolio(
+    const cluster::Environment& env) {
+  sched::PortfolioConfig config;
+  config.selection_interval = 150.0;
+  config.snapshot_cap = 64;
+  return std::make_unique<sched::PortfolioScheduler>(
+      sched::standard_policies(3), env, config);
+}
+
+std::vector<std::unique_ptr<sched::Policy>> per_pass_policies(
+    const cluster::Environment& env) {
+  std::vector<std::unique_ptr<sched::Policy>> out;
+  out.push_back(std::make_unique<sched::RandomPolicy>(17));
+  out.push_back(std::make_unique<sched::FairSharePolicy>());
+  out.push_back(
+      std::make_unique<PerPassOrder>(std::make_unique<sched::FcfsPolicy>()));
+  out.push_back(std::make_unique<PerPassOrder>(
+      std::make_unique<sched::EasyBackfillingPolicy>()));
+  out.push_back(small_portfolio(env));
+  return out;
+}
+
+}  // namespace
+
+TEST(PerPass, DenseAndSparseJobIdsGiveIdenticalSchedules) {
+  const auto env = cluster::make_geo_distributed("g", 3, 2, 8, 0.05);
+  const std::size_t machines = env.all_machines().size();
+  // Ids far past the job count always miss the direct index; even ids
+  // 2, 4, ... below the job count land inside it on the wrong job. Both
+  // fall back to the id index.
+  const auto far = [](std::size_t i) { return 1000 + 7 * std::uint64_t{i}; };
+  const auto even = [](std::size_t i) { return 2 * std::uint64_t{i}; };
+  std::size_t requeued = 0;
+  std::size_t rounds = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const auto dense = random_dag_workload(seed);
+    const auto plan = crash_and_slowdown_plan(seed * 31, machines);
+    for (const bool faulty : {false, true}) {
+      sched::SimOptions options;
+      if (faulty) options.faults = &plan;
+      for (const auto& prototype : per_pass_policies(env)) {
+        const std::string what = prototype->name() + " seed " +
+                                 std::to_string(seed) +
+                                 (faulty ? " faulty" : "");
+        std::vector<sched::SchedResult> results;
+        std::vector<std::map<std::string, std::size_t>> selections;
+        for (const auto& wl :
+             {dense, renumbered(dense, far), renumbered(dense, even)}) {
+          const auto policy = prototype->clone();
+          auto result = sched::simulate(env, wl, *policy, options);
+          // Map ids back to positions so the results compare directly.
+          for (auto& job : result.jobs) {
+            const auto at = std::find_if(
+                wl.jobs.begin(), wl.jobs.end(),
+                [&](const wf::Job& j) { return j.id == job.id; });
+            ASSERT_NE(at, wl.jobs.end()) << what;
+            job.id = static_cast<std::uint64_t>(at - wl.jobs.begin());
+          }
+          results.push_back(std::move(result));
+          if (const auto* pf =
+                  dynamic_cast<const sched::PortfolioScheduler*>(policy.get()))
+            selections.push_back(pf->selections());
+        }
+        expect_identical(results[0], results[1], what + " far ids");
+        expect_identical(results[0], results[2], what + " even ids");
+        if (!selections.empty()) {
+          EXPECT_EQ(selections[0], selections[1]) << what;
+          EXPECT_EQ(selections[0], selections[2]) << what;
+          for (const auto& [name, count] : selections[0]) rounds += count;
+        }
+        if (faulty) requeued += results[0].tasks_requeued;
+      }
+    }
+  }
+  EXPECT_GT(requeued, 0u) << "the crash plans must exercise the requeue path";
+  EXPECT_GT(rounds, 0u) << "the portfolio must select at least once";
+}
+
+namespace {
+
+/// Orders like its inner policy, then surrounds the result with refs the
+/// engine must ignore: every workload task that is not queued (pending,
+/// running or done) in front, each queued ref twice, and two refs naming
+/// no task at the end.
+class SloppyOrder final : public sched::Policy {
+ public:
+  SloppyOrder(std::unique_ptr<sched::Policy> inner, const wf::Workload& wl)
+      : inner_(std::move(inner)), wl_(wl) {}
+  std::string name() const override { return inner_->name(); }
+  bool backfilling() const override { return inner_->backfilling(); }
+  void order(std::vector<sched::TaskRef>& q,
+             const sched::SchedState& s) override {
+    inner_->order(q, s);
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> queued;
+    for (const auto& ref : q) queued.emplace_back(ref.job_id, ref.task_id);
+    std::sort(queued.begin(), queued.end());
+    std::vector<sched::TaskRef> out;
+    for (const auto& job : wl_.jobs) {
+      for (std::uint32_t ti = 0; ti < job.tasks.size(); ++ti) {
+        if (std::binary_search(queued.begin(), queued.end(),
+                               std::pair{job.id, ti}))
+          continue;
+        sched::TaskRef stale;
+        stale.job_id = job.id;
+        stale.task_id = ti;
+        out.push_back(stale);
+      }
+    }
+    for (const auto& ref : q) {
+      out.push_back(ref);
+      out.push_back(ref);
+    }
+    sched::TaskRef no_job;
+    no_job.job_id = 1'000'000;
+    out.push_back(no_job);
+    if (!q.empty()) {
+      sched::TaskRef no_task = q.front();
+      no_task.task_id = 1'000'000;
+      out.push_back(no_task);
+    }
+    q = std::move(out);
+  }
+  std::unique_ptr<sched::Policy> clone() const override {
+    return std::make_unique<SloppyOrder>(inner_->clone(), wl_);
+  }
+
+ private:
+  std::unique_ptr<sched::Policy> inner_;
+  const wf::Workload& wl_;
+};
+
+}  // namespace
+
+TEST(PerPass, StaleAndDuplicateRefsAreSkipped) {
+  const auto env = cluster::make_geo_distributed("g", 3, 2, 8, 0.05);
+  const std::size_t machines = env.all_machines().size();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto wl = random_dag_workload(seed);
+    const auto plan = crash_and_slowdown_plan(seed * 31, machines);
+    for (const bool faulty : {false, true}) {
+      sched::SimOptions options;
+      if (faulty) options.faults = &plan;
+      std::vector<std::unique_ptr<sched::Policy>> plain;
+      plain.push_back(std::make_unique<sched::RandomPolicy>(5));
+      plain.push_back(std::make_unique<sched::FairSharePolicy>());
+      plain.push_back(std::make_unique<sched::EasyBackfillingPolicy>());
+      for (auto& policy : plain) {
+        const std::string what = policy->name() + " seed " +
+                                 std::to_string(seed) +
+                                 (faulty ? " faulty" : "");
+        SloppyOrder sloppy(policy->clone(), wl);
+        const auto expected = sched::simulate(env, wl, *policy, options);
+        const auto got = sched::simulate(env, wl, sloppy, options);
+        expect_identical(expected, got, what);
+      }
+    }
+  }
+}
+
+TEST(PerPass, OrderLeavesSortedInputUntouched) {
+  std::vector<sched::TaskRef> queue;
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    sched::TaskRef ref;
+    ref.job_id = i / 5;
+    ref.task_id = i % 5;
+    ref.runtime = static_cast<double>(1 + (i * 7) % 11);
+    ref.submit_time = static_cast<double>(i / 10);
+    ref.eligible_time = static_cast<double>(i / 10);
+    ref.user = "u";
+    queue.push_back(ref);
+  }
+  sched::FcfsPolicy fcfs;
+  sched::FairSharePolicy fair;
+  for (sched::Policy* policy : {static_cast<sched::Policy*>(&fcfs),
+                                static_cast<sched::Policy*>(&fair)}) {
+    auto q = queue;
+    const sched::TaskRef* storage = q.data();
+    policy->order(q, sched::SchedState{});
+    ASSERT_EQ(q.size(), queue.size());
+    // Sorted keys take the shortcut: no gather into a new buffer.
+    EXPECT_EQ(q.data(), storage) << policy->name();
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      EXPECT_EQ(q[i].job_id, queue[i].job_id) << policy->name();
+      EXPECT_EQ(q[i].task_id, queue[i].task_id) << policy->name();
+      EXPECT_EQ(q[i].runtime, queue[i].runtime) << policy->name();
+      EXPECT_EQ(q[i].user, queue[i].user) << policy->name();
+    }
+  }
+}
+
+TEST(PerPass, OrderSortsInputWithOneElementOutOfPlace) {
+  const auto identities = [](const std::vector<sched::TaskRef>& q) {
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
+    for (const auto& r : q) out.emplace_back(r.job_id, r.task_id);
+    return out;
+  };
+  std::vector<sched::TaskRef> sorted;
+  for (std::uint32_t i = 0; i < 30; ++i) {
+    sched::TaskRef ref;
+    ref.job_id = i;
+    ref.submit_time = static_cast<double>(i);
+    sorted.push_back(ref);
+  }
+  // The last element belongs at the front: only a full sort places it.
+  auto queue = sorted;
+  queue.back().job_id = 1000;
+  queue.back().submit_time = -1.0;
+  auto expected = queue;
+  std::rotate(expected.begin(), expected.end() - 1, expected.end());
+  sched::FcfsPolicy fcfs;
+  sched::FairSharePolicy fair;
+  for (sched::Policy* policy : {static_cast<sched::Policy*>(&fcfs),
+                                static_cast<sched::Policy*>(&fair)}) {
+    auto q = queue;
+    policy->order(q, sched::SchedState{});
+    EXPECT_EQ(identities(q), identities(expected)) << policy->name();
+  }
 }
