@@ -25,6 +25,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace atlarge::sched {
@@ -66,12 +67,25 @@ struct OrderKey {
   }
 };
 
+/// What order_by_key() remembers of its last call on one queue: that
+/// input's (job_id, task_id) identities in input order, and the
+/// permutation it returned (perm[k] is the input position of output k).
+/// Owned by the caller, one per queue; empty means no last call.
+struct OrderMemo {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> ids;
+  std::vector<std::uint32_t> perm;
+};
+
 /// Reorders `queue` by increasing key, where keys[i] is the key of
-/// queue[i]: one sort over the POD keys, then one gather of the tasks.
-/// Keys that are already in order leave `queue` untouched (no sort, no
-/// gather): a queue that became eligible in key order costs one scan.
+/// queue[i], and records the call in `memo`. Keys that are already in
+/// order leave `queue` untouched (no sort, no gather): a queue that became
+/// eligible in key order costs one scan. Otherwise, when the input is the
+/// last call's input with some tasks dropped and newcomers appended, only
+/// the newcomers are sorted and merged into the survivors' last order;
+/// any other input costs a full sort. The result is the same either way:
+/// keys order totally, so there is one sorted order.
 void order_by_key(std::vector<TaskRef>& queue,
-                  const std::vector<OrderKey>& keys);
+                  const std::vector<OrderKey>& keys, OrderMemo& memo);
 
 /// Cluster state snapshot offered to policies at decision time.
 struct SchedState {
@@ -120,6 +134,11 @@ class Policy {
 
   /// Fresh instance with identical configuration, for nested simulation.
   virtual std::unique_ptr<Policy> clone() const = 0;
+
+ protected:
+  /// order_by_key()'s memo for this instance's order(); a clone starts
+  /// with an empty one.
+  OrderMemo order_memo_;
 };
 
 }  // namespace atlarge::sched

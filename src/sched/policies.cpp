@@ -15,27 +15,105 @@ namespace {
 /// nothing here re-enters itself, so one set per thread is enough.
 struct Slot {
   OrderKey key;
-  std::size_t index;
+  std::uint32_t index;
 };
+constexpr auto kByKey = [](const Slot& a, const Slot& b) {
+  return a.key < b.key;
+};
+constexpr std::uint32_t kDropped = ~std::uint32_t{0};
 thread_local std::vector<OrderKey> key_scratch;
 thread_local std::vector<Slot> slot_scratch;
+thread_local std::vector<Slot> survivor_scratch;
+thread_local std::vector<Slot> merge_scratch;
+thread_local std::vector<std::uint32_t> where_scratch;
 thread_local std::vector<TaskRef> gather_scratch;
+
+/// Splits this call's input into the survivors of the last call, a
+/// prefix, and newcomers, the rest, and returns where the newcomers start.
+/// Fills `slots` with the survivors in the last call's output order when
+/// that order is still sorted under this call's keys; otherwise leaves
+/// `slots` empty and returns 0, so that everything is sorted anew.
+std::size_t sorted_survivors(const std::vector<OrderKey>& keys,
+                             const OrderMemo& memo,
+                             std::vector<Slot>& slots) {
+  // Match this input against the last one: walk both in order, pairing
+  // each input task with the next last-input task of the same identity.
+  // A task with no such partner ends the walk, so survivors are always a
+  // prefix of the input and newcomers its tail, whatever the caller did
+  // to the queue. The pairing is a bijection between that prefix and part
+  // of the last input, so the survivors' last order below is a
+  // permutation of the prefix; whether it is sorted rests on the key
+  // check alone, and the match only decides how much is left to sort.
+  const std::size_t n = keys.size();
+  const std::size_t m = memo.ids.size();
+  std::vector<std::uint32_t>& where = where_scratch;
+  where.assign(m, kDropped);
+  std::size_t j = 0;
+  std::size_t s = 0;
+  for (; s < n; ++s) {
+    const std::pair<std::uint64_t, std::uint32_t> id{keys[s].job_id,
+                                                     keys[s].task_id};
+    while (j < m && memo.ids[j] != id) ++j;
+    if (j == m) break;
+    where[j++] = static_cast<std::uint32_t>(s);
+  }
+  // The survivors in the last call's output order, checked against this
+  // call's keys: FAIR's usage moves between calls and a requeued task
+  // comes back with a new eligible_time, so keys stored at the last call
+  // would not do.
+  slots.clear();
+  for (const std::uint32_t last : memo.perm) {
+    const std::uint32_t i = where[last];
+    if (i == kDropped) continue;
+    if (!slots.empty() && !(slots.back().key < keys[i])) {
+      slots.clear();
+      return 0;
+    }
+    slots.push_back({keys[i], i});
+  }
+  return s;
+}
 
 }  // namespace
 
 void order_by_key(std::vector<TaskRef>& queue,
-                  const std::vector<OrderKey>& keys) {
-  if (std::is_sorted(keys.begin(), keys.end())) return;
-  std::vector<Slot>& slots = slot_scratch;
-  slots.resize(queue.size());
-  for (std::size_t i = 0; i < queue.size(); ++i) slots[i] = {keys[i], i};
-  std::sort(slots.begin(), slots.end(),
-            [](const Slot& a, const Slot& b) { return a.key < b.key; });
+                  const std::vector<OrderKey>& keys, OrderMemo& memo) {
+  const std::size_t n = queue.size();
+  const auto record = [&](const std::vector<Slot>* order) {
+    memo.ids.resize(n);
+    memo.perm.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      memo.ids[i] = {keys[i].job_id, keys[i].task_id};
+      memo.perm[i] =
+          order != nullptr ? (*order)[i].index : static_cast<std::uint32_t>(i);
+    }
+  };
+  if (std::is_sorted(keys.begin(), keys.end())) {
+    record(nullptr);
+    return;
+  }
+
+  std::vector<Slot>& survivors = survivor_scratch;
+  std::vector<Slot>& newcomers = slot_scratch;
+  std::vector<Slot>* order = &newcomers;
+  const std::size_t first_new = sorted_survivors(keys, memo, survivors);
+  newcomers.resize(n - first_new);
+  for (std::size_t i = first_new; i < n; ++i)
+    newcomers[i - first_new] = {keys[i], static_cast<std::uint32_t>(i)};
+  std::sort(newcomers.begin(), newcomers.end(), kByKey);
+  if (!survivors.empty()) {
+    std::vector<Slot>& merged = merge_scratch;
+    merged.resize(n);
+    std::merge(survivors.begin(), survivors.end(), newcomers.begin(),
+               newcomers.end(), merged.begin(), kByKey);
+    order = &merged;
+  }
+
   std::vector<TaskRef>& sorted = gather_scratch;
-  sorted.resize(queue.size());
-  for (std::size_t i = 0; i < slots.size(); ++i)
-    sorted[i] = queue[slots[i].index];
+  sorted.resize(n);
+  for (std::size_t i = 0; i < n; ++i) sorted[i] = queue[(*order)[i].index];
   queue.swap(sorted);
+  record(order);
 }
 
 void Policy::order(std::vector<TaskRef>& queue, const SchedState&) {
@@ -46,7 +124,7 @@ void Policy::order(std::vector<TaskRef>& queue, const SchedState&) {
       throw std::logic_error(name() + ": policy has neither order() nor "
                                       "order_key()");
   }
-  order_by_key(queue, keys);
+  order_by_key(queue, keys, order_memo_);
 }
 
 bool Policy::order_key(const TaskRef&, OrderKey&) const { return false; }
@@ -125,7 +203,7 @@ void FairSharePolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
   for (std::size_t i = 0; i < q.size(); ++i)
     keys[i] = {usage_of(q[i].user), q[i].submit_time, q[i].job_id,
                q[i].task_id};
-  order_by_key(q, keys);
+  order_by_key(q, keys, order_memo_);
 }
 
 std::unique_ptr<Policy> FairSharePolicy::clone() const {

@@ -123,6 +123,10 @@ class SchedEngine {
     job_index_.reserve(workload.jobs.size());
     for (const auto& job : workload.jobs) {
       for (const auto& t : job.tasks) {
+        // place_in_order() stops once no machine has a free core, which is
+        // exact only because every task needs at least one.
+        if (t.cores == 0)
+          throw std::invalid_argument("simulate: task demands zero cores");
         if (t.cores > max_cores)
           throw std::invalid_argument(
               "simulate: task demands more cores than any machine offers");
@@ -420,7 +424,6 @@ class SchedEngine {
       queue_depth_->set(static_cast<double>(queue_.size()));
       obs_->tracer.begin("sched.pass", "sched", sim_.now());
     }
-    bool placed = false;
     if (static_order_) {
       // Merge the tasks that became eligible since the last pass into the
       // sorted queue; the policy is not consulted.
@@ -430,7 +433,7 @@ class SchedEngine {
       const auto tail = queue_.begin() + static_cast<std::ptrdiff_t>(sorted_);
       std::sort(tail, queue_.end(), by_key);
       std::inplace_merge(queue_.begin(), tail, queue_.end(), by_key);
-      placed = place_in_order(queue_);
+      place_in_order(queue_);
     } else {
       const SchedState state = make_state(refs_.size());
       const double overhead = policy_.tick(state, refs_);
@@ -450,9 +453,9 @@ class SchedEngine {
         Queued q;
         if (resolve(ref, q)) order_.push_back(q);  // else: a stale ref
       }
-      placed = place_in_order(order_);
+      place_in_order(order_);
     }
-    if (placed) drop_placed();
+    if (!placed_at_.empty()) drop_placed();
     sorted_ = queue_.size();
     if (obs_ != nullptr) {
       queue_depth_->set(static_cast<double>(queue_.size()));
@@ -461,17 +464,32 @@ class SchedEngine {
   }
 
   /// Placed tasks leave the queue, and the mirror in lockstep; the rest
-  /// keep their relative order.
+  /// keep their relative order. On the static-order path the placement
+  /// loop ran over queue_ itself, so the positions it recorded are the
+  /// ones to erase. On the per-pass path they are positions in the
+  /// policy's order, so the queue is compacted by task status.
   void drop_placed() {
+    if (static_order_) {
+      auto out = queue_.begin() + static_cast<std::ptrdiff_t>(placed_at_[0]);
+      for (std::size_t k = 0; k < placed_at_.size(); ++k) {
+        const std::size_t end = k + 1 < placed_at_.size() ? placed_at_[k + 1]
+                                                          : queue_.size();
+        out = std::move(
+            queue_.begin() + static_cast<std::ptrdiff_t>(placed_at_[k] + 1),
+            queue_.begin() + static_cast<std::ptrdiff_t>(end), out);
+      }
+      queue_.erase(out, queue_.end());
+      return;
+    }
     std::size_t kept = 0;
     for (std::size_t i = 0; i < queue_.size(); ++i) {
       const Queued& q = queue_[i];
       if (jobs_[q.ji].tasks[q.ti].status != TaskStatus::kEligible) continue;
-      if (!static_order_) refs_[kept] = refs_[i];
+      refs_[kept] = refs_[i];
       queue_[kept++] = q;
     }
     queue_.resize(kept);
-    if (!static_order_) refs_.resize(kept);
+    refs_.resize(kept);
   }
 
   /// The job and task a policy's TaskRef names, by (job id, task id).
@@ -497,15 +515,20 @@ class SchedEngine {
   /// that do not fit now; with backfilling, the first task that does not
   /// fit reserves its earliest start and later tasks may only run if they
   /// finish before it. Placed tasks are marked running but stay in
-  /// `order`, which may be queue_ itself; pass() drops them afterwards.
-  /// Returns whether any task was placed.
-  bool place_in_order(const std::vector<Queued>& order) {
+  /// `order`, which may be queue_ itself; their positions in it go to
+  /// placed_at_, ascending, and pass() drops them afterwards.
+  void place_in_order(const std::vector<Queued>& order) {
     const bool backfilling = policy_.backfilling();
     bool constrain = false;
-    bool placed = false;
     double shadow = std::numeric_limits<double>::infinity();
     std::uint32_t widest = widest_free();
-    for (const Queued& q : order) {
+    placed_at_.clear();
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      // No machine has a free core: every task needs one (checked on
+      // ingest), so nothing further can run, and the reservation the rest
+      // of the loop could still compute has no effect.
+      if (widest == 0) break;
+      const Queued& q = order[i];
       // A policy may list a task twice or name one that is not eligible;
       // such a stale entry neither runs nor takes the reservation.
       if (jobs_[q.ji].tasks[q.ti].status != TaskStatus::kEligible) continue;
@@ -524,10 +547,9 @@ class SchedEngine {
       const double elapsed = latency + task.runtime / machines_[mi].speed;
       if (constrain && sim_.now() + elapsed > shadow) continue;
       place(q.ji, q.ti, mi, elapsed);
-      placed = true;
+      placed_at_.push_back(i);
       widest = widest_free();
     }
-    return placed;
   }
 
   void place(std::size_t ji, std::size_t ti, std::size_t mi, double elapsed) {
@@ -689,6 +711,7 @@ class SchedEngine {
   /// tasks it names, resolved for the placement loop.
   std::vector<TaskRef> ordered_;
   std::vector<Queued> order_;
+  std::vector<std::size_t> placed_at_;  // place_in_order's placements
   std::vector<const RunningTask*> shadow_scratch_;  // compute_shadow
   std::vector<RunningTask> running_;
   std::vector<std::pair<std::string, double>> user_usage_;

@@ -6,8 +6,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "golden_util.hpp"
 
 #include "atlarge/cluster/machine.hpp"
 #include "atlarge/fault/fault.hpp"
@@ -15,6 +19,7 @@
 #include "atlarge/sched/policies.hpp"
 #include "atlarge/sched/portfolio.hpp"
 #include "atlarge/sched/simulator.hpp"
+#include "atlarge/sim/simulation.hpp"
 #include "atlarge/stats/rng.hpp"
 #include "atlarge/workflow/generators.hpp"
 
@@ -110,6 +115,22 @@ TEST(Simulator, RejectsImpossibleTask) {
   wl.jobs.push_back(job);
   sched::FcfsPolicy policy;
   EXPECT_THROW(sched::simulate(env, wl, policy), std::invalid_argument);
+}
+
+TEST(Simulator, RejectsZeroCoreTask) {
+  // The placement loop stops once no machine has a free core, which is
+  // exact only if every task needs at least one.
+  const auto env = cluster::make_homogeneous_cluster("c", 2, 4);
+  wf::Workload wl;
+  wf::Job job;
+  job.tasks.push_back({1.0, 1, {}});
+  job.tasks.push_back({1.0, 0, {}});
+  wl.jobs.push_back(job);
+  sched::FcfsPolicy policy;
+  EXPECT_THROW(sched::simulate(env, wl, policy), std::invalid_argument);
+  atlarge::sim::Simulation sim;
+  EXPECT_THROW(sched::SchedDriver(env, wl, policy, {}, sim),
+               std::invalid_argument);
 }
 
 TEST(Simulator, RejectsEmptyEnvironment) {
@@ -922,4 +943,285 @@ TEST(PerPass, OrderSortsInputWithOneElementOutOfPlace) {
     policy->order(q, sched::SchedState{});
     EXPECT_EQ(identities(q), identities(expected)) << policy->name();
   }
+}
+
+// ---------------------------------------------------------- memoized order --
+//
+// The default Policy::order() and FairSharePolicy::order() remember their
+// last call and, when the new input is the last one with some tasks
+// dropped and newcomers appended (what the engine's mirror of its queue
+// does between passes), sort only the newcomers. Whatever the caller does
+// to the queue between calls, the output must equal a fresh full sort.
+
+namespace {
+
+const std::string kUsers[] = {"u0", "u1", "u2", "u3"};
+
+/// The key a fresh full sort orders `ref` by: the policy's order_key(), or
+/// FAIR's (usage, submit time, job, task).
+sched::OrderKey full_sort_key(
+    const sched::Policy& policy, const sched::TaskRef& ref,
+    const std::vector<std::pair<std::string, double>>& usage) {
+  sched::OrderKey key;
+  if (policy.order_key(ref, key)) return key;
+  double used = 0.0;
+  for (const auto& [user, value] : usage)
+    if (user == ref.user) used = value;
+  return {used, ref.submit_time, ref.job_id, ref.task_id};
+}
+
+std::vector<std::tuple<std::uint64_t, std::uint32_t, double>> identities(
+    const std::vector<sched::TaskRef>& q) {
+  std::vector<std::tuple<std::uint64_t, std::uint32_t, double>> out;
+  for (const auto& r : q)
+    out.emplace_back(r.job_id, r.task_id, r.eligible_time);
+  return out;
+}
+
+}  // namespace
+
+TEST(MemoOrder, EveryCallMatchesAFreshFullSort) {
+  std::size_t requeued_survivors = 0;
+  std::size_t calls = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    atlarge::stats::Rng rng(seed);
+    // Every keyed policy and FAIR. One of them orders at a time and the
+    // choice switches now and then, as the portfolio's outer run switches
+    // its delegate; each keeps its own memo across the switches.
+    std::vector<std::unique_ptr<sched::Policy>> delegates;
+    for (auto& p : static_policies()) delegates.push_back(std::move(p));
+    delegates.push_back(std::make_unique<sched::FairSharePolicy>());
+    std::vector<std::pair<std::string, double>> usage;
+    for (const auto& user : kUsers) usage.emplace_back(user, 0.0);
+    sched::SchedState state;
+    state.user_usage = &usage;
+
+    struct Job {
+      std::uint64_t id;
+      double submit;
+      std::string_view user;
+      std::uint32_t tasks = 0;
+    };
+    std::vector<Job> jobs;
+    std::vector<sched::TaskRef> mirror;   // the caller's queue, in its order
+    std::vector<sched::TaskRef> running;  // dropped, may be requeued
+    std::size_t current = delegates.size() - 1;
+    for (int step = 0; step < 300; ++step) {
+      const double now = static_cast<double>(step);
+      // Placed tasks leave; the rest keep their order.
+      std::vector<sched::TaskRef> kept;
+      std::vector<sched::TaskRef> placed;
+      for (const auto& ref : mirror)
+        (rng.uniform() < 0.1 ? placed : kept).push_back(ref);
+      mirror = std::move(kept);
+      // Newcomers, of new jobs and of jobs already queued. Runtimes, cores
+      // and submit times repeat, so the (job, task) tie-break matters.
+      for (auto k = rng.uniform_int(0, 6); k > 0; --k) {
+        if (jobs.empty() || rng.uniform() < 0.4)
+          jobs.push_back({jobs.size(), std::floor(now / 10.0),
+                          kUsers[rng.uniform_int(0, 3)]});
+        Job& job = jobs[static_cast<std::size_t>(rng.uniform_int(
+            static_cast<std::int64_t>(jobs.size() > 5 ? jobs.size() - 5 : 0),
+            static_cast<std::int64_t>(jobs.size()) - 1))];
+        sched::TaskRef ref;
+        ref.job_id = job.id;
+        ref.task_id = job.tasks++;
+        ref.cores = static_cast<std::uint32_t>(rng.uniform_int(1, 4));
+        ref.runtime = static_cast<double>(rng.uniform_int(1, 5));
+        ref.submit_time = job.submit;
+        ref.eligible_time = now;
+        ref.user = job.user;
+        mirror.push_back(ref);
+      }
+      // A crash requeues a running task with its ids and a new
+      // eligible_time: one placed just now is still in the last input.
+      if (!running.empty() && rng.uniform() < 0.3) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1));
+        sched::TaskRef ref = running[at];
+        ref.eligible_time = now;
+        mirror.push_back(ref);
+        running.erase(running.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      if (!placed.empty() && rng.uniform() < 0.3) {
+        sched::TaskRef ref = placed.back();
+        placed.pop_back();
+        ref.eligible_time = now;
+        mirror.push_back(ref);
+        ++requeued_survivors;
+      }
+      running.insert(running.end(), placed.begin(), placed.end());
+      // A caller that reorders its own queue.
+      if (rng.uniform() < 0.05) {
+        for (std::size_t i = mirror.size(); i > 1; --i)
+          std::swap(mirror[i - 1],
+                    mirror[static_cast<std::size_t>(rng.uniform_int(
+                        0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      // FAIR's usage ranks flip; equal usages leave the rest of its key.
+      if (rng.uniform() < 0.3)
+        for (auto& [user, used] : usage)
+          used = 10.0 * static_cast<double>(rng.uniform_int(0, 3));
+      if (rng.uniform() < 0.1)
+        current = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(delegates.size()) - 1));
+
+      sched::Policy& policy = *delegates[current];
+      auto want = mirror;
+      std::sort(want.begin(), want.end(),
+                [&](const sched::TaskRef& a, const sched::TaskRef& b) {
+                  return full_sort_key(policy, a, usage) <
+                         full_sort_key(policy, b, usage);
+                });
+      auto got = mirror;
+      policy.order(got, state);
+      ++calls;
+      ASSERT_EQ(identities(got), identities(want))
+          << policy.name() << " seed " << seed << " step " << step;
+    }
+  }
+  EXPECT_GT(requeued_survivors, 100u);
+  EXPECT_EQ(calls, 6000u);
+}
+
+// ------------------------------------------------------------------ goldens --
+//
+// Static-order and per-pass runs share the placement loop, so the
+// differential tests above cannot see a fault common to both paths. These
+// fingerprints were recorded before the loop stopped on a full cluster and
+// before the static queue was compacted by position. The runs saturate a
+// geo-distributed cluster with multi-core tasks, so both show on most
+// passes.
+
+TEST(Golden, SaturatedGeoRunsKeepTheirFingerprints) {
+  const auto env = cluster::make_geo_distributed("g", 2, 2, 8, 0.05);
+  const std::size_t machines = env.all_machines().size();
+  const auto wl = random_dag_workload(7);
+  const auto plan = crash_and_slowdown_plan(7 * 31, machines);
+  auto policies = sched::standard_policies(3);
+  policies.push_back(small_portfolio(env));
+  struct Pin {
+    const char* policy;
+    bool faulty;
+    const char* fingerprint;
+  };
+  const Pin pinned[] = {
+      {"FCFS", false,
+       "jobs=40 mk=2802.8499999999995 wait=110.72624999999989"
+       " slow=6.1760545909428881 p95=18.791624999999989"
+       " util=0.86758232691724613 tasks=326 rq=0 inj=0 rec=0 wdig=n=40"
+       " min=0 max=730 h=bffd5f9e529a30cc sdig=n=40 min=1"
+       " max=26.119999999999948 h=365c112f133420ef"},
+      {"EASY-BF", false,
+       "jobs=40 mk=2961.0999999999995 wait=214.78999999999979"
+       " slow=5.8090409360737567 p95=15.037812499999998"
+       " util=0.82121614433825296 tasks=326 rq=0 inj=0 rec=0 wdig=n=40"
+       " min=0 max=991.04999999999927 h=ed70f1e737df361 sdig=n=40"
+       " min=1.0854166666666667 max=24.369999999999983 h=700faf64ec51b8a8"},
+      {"SJF", false,
+       "jobs=40 mk=2943.4499999999998 wait=23.072499999999952"
+       " slow=3.5929237811485875 p95=7.8391865203761748"
+       " util=0.82611232142553859 tasks=326 rq=0 inj=0 rec=0 wdig=n=40"
+       " min=0 max=451.14999999999964 h=563e1b635a32df81 sdig=n=40 min=1"
+       " max=10.704062499999996 h=f5239984b227cc15"},
+      {"LJF", false,
+       "jobs=40 mk=2871.900000000001 wait=73.528749999999974"
+       " slow=12.501247231978351 p95=36.302499999999995"
+       " util=0.84671841812040849 tasks=326 rq=0 inj=0 rec=0 wdig=n=40"
+       " min=0 max=1651.5999999999999 h=e1633f4e58dbea4f sdig=n=40 min=1"
+       " max=166.16500000000002 h=29e6c38ca7cb186a"},
+      {"WIDE", false,
+       "jobs=40 mk=2630.3499999999999 wait=121.14124999999994"
+       " slow=7.0067342350452364 p95=25.645374999999959"
+       " util=0.92444862375729364 tasks=326 rq=0 inj=0 rec=0 wdig=n=40"
+       " min=0 max=1390 h=72dee939ec0d4883 sdig=n=40"
+       " min=1.0016666666666652 max=35.344999999999999 h=c768f28a6f71df4"},
+      {"RANDOM", false,
+       "jobs=40 mk=2801.5000000000014 wait=21.54999999999999"
+       " slow=6.0689561570733979 p95=13.39198809523808"
+       " util=0.86790335534535035 tasks=326 rq=0 inj=0 rec=0 wdig=n=40"
+       " min=0 max=180.09999999999991 h=b60f45ea1f66ab25 sdig=n=40 min=1"
+       " max=38.399999999999999 h=3e48a48435d4caa4"},
+      {"FAIR", false,
+       "jobs=40 mk=2771.7000000000007 wait=51.176249999999989"
+       " slow=5.8953283219685053 p95=14.578166666666654"
+       " util=0.87731863567485602 tasks=326 rq=0 inj=0 rec=0 wdig=n=40"
+       " min=0 max=420.64999999999998 h=e9c97c7823f69024 sdig=n=40 min=1"
+       " max=27.25 h=308f88529fda617f"},
+      {"PORTFOLIO", false,
+       "jobs=40 mk=2810.7500000000014 wait=29.164999999999942"
+       " slow=3.4794939949858112 p95=8.0905172413793096"
+       " util=0.86514164368940649 tasks=326 rq=0 inj=0 rec=0 wdig=n=40"
+       " min=0 max=450 h=3c77b9906910a17f sdig=n=40 min=1 max=11.5"
+       " h=cc7332483fa6816a EASY-BF=1 FAIR=2 LJF=2 SJF=12"},
+      {"FCFS", true,
+       "jobs=40 mk=3350.6541327340888 wait=214.14084939951286"
+       " slow=10.507839213083184 p95=27.2781606524346"
+       " util=0.76333278259679649 tasks=326 rq=10 inj=12 rec=10 wdig=n=40"
+       " min=0 max=1123.2165263067209 h=55b160cffb127fe2 sdig=n=40"
+       " min=1.2770689655172414 max=97.060413273408855 h=5006aea28a3347f8"},
+      {"EASY-BF", true,
+       "jobs=40 mk=3444.0165263067202 wait=332.32723264629857"
+       " slow=9.8069598341662161 p95=25.692260964723328"
+       " util=0.74369982253251232 tasks=326 rq=10 inj=12 rec=10 wdig=n=40"
+       " min=0 max=1463.96652630672 h=b3e6a5fb2a46f38a sdig=n=40"
+       " min=1.1386206896551725 max=39.468884210224012 h=3941a454ba18cdd9"},
+      {"SJF", true,
+       "jobs=40 mk=3346.1444731223264 wait=45.820893921608182"
+       " slow=5.439515430115609 p95=10.805090489995385"
+       " util=0.77064385505465738 tasks=326 rq=10 inj=12 rec=10 wdig=n=40"
+       " min=0 max=983.65544257148781 h=b9c17e9ac15a2089 sdig=n=40"
+       " min=1.0014285714285713 max=19.380787276019372 h=2ad38eecbce747fb"},
+      {"LJF", true,
+       "jobs=40 mk=3306.5444731223288 wait=183.29994935364439"
+       " slow=18.303876512412341 p95=45.5651033183522"
+       " util=0.79539830054163219 tasks=326 rq=10 inj=12 rec=10 wdig=n=40"
+       " min=0 max=2191.8000000000025 h=407b493091e47ddd sdig=n=40"
+       " min=1.0129159291848633 max=220.18500000000026 h=dcd697979cbdec36"},
+      {"WIDE", true,
+       "jobs=40 mk=3153.1165263067205 wait=235.54991976582474"
+       " slow=11.877062220337901 p95=38.412878682590403"
+       " util=0.85090952467344905 tasks=326 rq=8 inj=12 rec=10 wdig=n=40"
+       " min=0 max=1731.7000000000025 h=ef1d2c001e6b75c4 sdig=n=40 min=1"
+       " max=46.203149104077553 h=2823fb78df7fceef"},
+      {"RANDOM", true,
+       "jobs=40 mk=3232.2500000000032 wait=108.1658798025904"
+       " slow=8.2364333126689058 p95=17.71339425065117"
+       " util=0.80296645854102344 tasks=326 rq=7 inj=12 rec=10 wdig=n=40"
+       " min=0 max=2071.6000000000008 h=1f72c1e4f97ae2ed sdig=n=40 min=1"
+       " max=50.78625000000001 h=f711df65aa011b74"},
+      {"FAIR", true,
+       "jobs=40 mk=3266.5444731223283 wait=122.76696258572863"
+       " slow=8.4248177621986304 p95=23.259578727601948"
+       " util=0.79467663566153945 tasks=326 rq=8 inj=12 rec=10 wdig=n=40"
+       " min=0 max=890.94999999999959 h=4e76130a912f4740 sdig=n=40"
+       " min=1.0954545454545455 max=34.38111182805811 h=54ae7b0e73c9dc00"},
+      {"PORTFOLIO", true,
+       "jobs=40 mk=3401.5500000000011 wait=72.458649722517066"
+       " slow=6.3772971439779695 p95=13.273967184163777"
+       " util=0.75955820156044684 tasks=326 rq=9 inj=12 rec=10 wdig=n=40"
+       " min=0 max=1490.6041327340886 h=3938c8bec054bb6 sdig=n=40 min=1"
+       " max=22.757499999999993 h=8e189fe5c5faa5cf FAIR=2 FCFS=1 SJF=17"},
+  };
+  std::size_t k = 0;
+  for (const bool faulty : {false, true}) {
+    sched::SimOptions options;
+    if (faulty) options.faults = &plan;
+    for (const auto& prototype : policies) {
+      const auto policy = prototype->clone();
+      const auto result = sched::simulate(env, wl, *policy, options);
+      std::string fp = atlarge::golden::sched_fingerprint(result);
+      if (const auto* pf =
+              dynamic_cast<const sched::PortfolioScheduler*>(policy.get()))
+        for (const auto& [name, count] : pf->selections())
+          fp += " " + name + "=" + std::to_string(count);
+      ASSERT_LT(k, std::size(pinned));
+      EXPECT_EQ(policy->name(), pinned[k].policy);
+      EXPECT_EQ(faulty, pinned[k].faulty);
+      EXPECT_EQ(fp, pinned[k].fingerprint) << policy->name() << " faulty "
+                                           << faulty;
+      ++k;
+    }
+  }
+  EXPECT_EQ(k, std::size(pinned));
 }
