@@ -67,26 +67,6 @@ struct OrderKey {
   }
 };
 
-/// What order_by_key() remembers of its last call on one queue: that
-/// input's (job_id, task_id) identities in input order, and the
-/// permutation it returned (perm[k] is the input position of output k).
-/// Owned by the caller, one per queue; empty means no last call.
-struct OrderMemo {
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> ids;
-  std::vector<std::uint32_t> perm;
-};
-
-/// Reorders `queue` by increasing key, where keys[i] is the key of
-/// queue[i], and records the call in `memo`. Keys that are already in
-/// order leave `queue` untouched (no sort, no gather): a queue that became
-/// eligible in key order costs one scan. Otherwise, when the input is the
-/// last call's input with some tasks dropped and newcomers appended, only
-/// the newcomers are sorted and merged into the survivors' last order;
-/// any other input costs a full sort. The result is the same either way:
-/// keys order totally, so there is one sorted order.
-void order_by_key(std::vector<TaskRef>& queue,
-                  const std::vector<OrderKey>& keys, OrderMemo& memo);
-
 /// Cluster state snapshot offered to policies at decision time.
 struct SchedState {
   double now = 0.0;
@@ -112,6 +92,9 @@ class Policy {
   /// that does not name a still-eligible task, so stale refs and repeats
   /// neither run nor take a backfilling reservation. The default sorts by
   /// order_key() and throws std::logic_error for a policy without one.
+  /// order() may update per-instance state (order_by_key() remembers its
+  /// last call), so one instance must not be ordered from two threads at
+  /// once; give each thread its own clone().
   virtual void order(std::vector<TaskRef>& queue, const SchedState& state);
 
   /// The task's static sort key (see the contract above). Returns false,
@@ -136,9 +119,25 @@ class Policy {
   virtual std::unique_ptr<Policy> clone() const = 0;
 
  protected:
-  /// order_by_key()'s memo for this instance's order(); a clone starts
-  /// with an empty one.
-  OrderMemo order_memo_;
+  /// Reorders `queue` by increasing key, where keys[i] is the key of
+  /// queue[i], and remembers the call in this instance. Keys that are
+  /// already in order leave `queue` untouched (no sort, no gather): a
+  /// queue that became eligible in key order costs one scan. Otherwise,
+  /// when the input is the last call's input with some tasks dropped and
+  /// newcomers appended, only the newcomers are sorted and merged into the
+  /// survivors' last order; any other input costs a full sort. The result
+  /// is the same either way: keys order totally, so there is one sorted
+  /// order.
+  void order_by_key(std::vector<TaskRef>& queue,
+                    const std::vector<OrderKey>& keys);
+
+ private:
+  /// order_by_key()'s last call: its input's (job_id, task_id) in input
+  /// order, and the permutation it returned (last_perm_[k] is the input
+  /// position of output k). Empty before the first call; a clone starts
+  /// empty.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> last_ids_;
+  std::vector<std::uint32_t> last_perm_;
 };
 
 }  // namespace atlarge::sched

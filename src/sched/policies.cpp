@@ -33,9 +33,10 @@ thread_local std::vector<TaskRef> gather_scratch;
 /// Fills `slots` with the survivors in the last call's output order when
 /// that order is still sorted under this call's keys; otherwise leaves
 /// `slots` empty and returns 0, so that everything is sorted anew.
-std::size_t sorted_survivors(const std::vector<OrderKey>& keys,
-                             const OrderMemo& memo,
-                             std::vector<Slot>& slots) {
+std::size_t sorted_survivors(
+    const std::vector<OrderKey>& keys,
+    const std::vector<std::pair<std::uint64_t, std::uint32_t>>& last_ids,
+    const std::vector<std::uint32_t>& last_perm, std::vector<Slot>& slots) {
   // Match this input against the last one: walk both in order, pairing
   // each input task with the next last-input task of the same identity.
   // A task with no such partner ends the walk, so survivors are always a
@@ -45,7 +46,7 @@ std::size_t sorted_survivors(const std::vector<OrderKey>& keys,
   // permutation of the prefix; whether it is sorted rests on the key
   // check alone, and the match only decides how much is left to sort.
   const std::size_t n = keys.size();
-  const std::size_t m = memo.ids.size();
+  const std::size_t m = last_ids.size();
   std::vector<std::uint32_t>& where = where_scratch;
   where.assign(m, kDropped);
   std::size_t j = 0;
@@ -53,7 +54,7 @@ std::size_t sorted_survivors(const std::vector<OrderKey>& keys,
   for (; s < n; ++s) {
     const std::pair<std::uint64_t, std::uint32_t> id{keys[s].job_id,
                                                      keys[s].task_id};
-    while (j < m && memo.ids[j] != id) ++j;
+    while (j < m && last_ids[j] != id) ++j;
     if (j == m) break;
     where[j++] = static_cast<std::uint32_t>(s);
   }
@@ -62,7 +63,7 @@ std::size_t sorted_survivors(const std::vector<OrderKey>& keys,
   // comes back with a new eligible_time, so keys stored at the last call
   // would not do.
   slots.clear();
-  for (const std::uint32_t last : memo.perm) {
+  for (const std::uint32_t last : last_perm) {
     const std::uint32_t i = where[last];
     if (i == kDropped) continue;
     if (!slots.empty() && !(slots.back().key < keys[i])) {
@@ -76,15 +77,15 @@ std::size_t sorted_survivors(const std::vector<OrderKey>& keys,
 
 }  // namespace
 
-void order_by_key(std::vector<TaskRef>& queue,
-                  const std::vector<OrderKey>& keys, OrderMemo& memo) {
+void Policy::order_by_key(std::vector<TaskRef>& queue,
+                          const std::vector<OrderKey>& keys) {
   const std::size_t n = queue.size();
   const auto record = [&](const std::vector<Slot>* order) {
-    memo.ids.resize(n);
-    memo.perm.resize(n);
+    last_ids_.resize(n);
+    last_perm_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      memo.ids[i] = {keys[i].job_id, keys[i].task_id};
-      memo.perm[i] =
+      last_ids_[i] = {keys[i].job_id, keys[i].task_id};
+      last_perm_[i] =
           order != nullptr ? (*order)[i].index : static_cast<std::uint32_t>(i);
     }
   };
@@ -96,7 +97,8 @@ void order_by_key(std::vector<TaskRef>& queue,
   std::vector<Slot>& survivors = survivor_scratch;
   std::vector<Slot>& newcomers = slot_scratch;
   std::vector<Slot>* order = &newcomers;
-  const std::size_t first_new = sorted_survivors(keys, memo, survivors);
+  const std::size_t first_new =
+      sorted_survivors(keys, last_ids_, last_perm_, survivors);
   newcomers.resize(n - first_new);
   for (std::size_t i = first_new; i < n; ++i)
     newcomers[i - first_new] = {keys[i], static_cast<std::uint32_t>(i)};
@@ -124,7 +126,7 @@ void Policy::order(std::vector<TaskRef>& queue, const SchedState&) {
       throw std::logic_error(name() + ": policy has neither order() nor "
                                       "order_key()");
   }
-  order_by_key(queue, keys, order_memo_);
+  order_by_key(queue, keys);
 }
 
 bool Policy::order_key(const TaskRef&, OrderKey&) const { return false; }
@@ -203,7 +205,7 @@ void FairSharePolicy::order(std::vector<TaskRef>& q, const SchedState& s) {
   for (std::size_t i = 0; i < q.size(); ++i)
     keys[i] = {usage_of(q[i].user), q[i].submit_time, q[i].job_id,
                q[i].task_id};
-  order_by_key(q, keys, order_memo_);
+  order_by_key(q, keys);
 }
 
 std::unique_ptr<Policy> FairSharePolicy::clone() const {

@@ -582,6 +582,15 @@ void expect_identical(const sched::SchedResult& a,
   EXPECT_TRUE(a.slowdown_digest == b.slowdown_digest) << what;
 }
 
+/// The tasks of a queue in order, by identity and eligible time.
+std::vector<std::tuple<std::uint64_t, std::uint32_t, double>> identities(
+    const std::vector<sched::TaskRef>& q) {
+  std::vector<std::tuple<std::uint64_t, std::uint32_t, double>> out;
+  for (const auto& r : q)
+    out.emplace_back(r.job_id, r.task_id, r.eligible_time);
+  return out;
+}
+
 }  // namespace
 
 TEST(StaticOrder, IncrementalQueueMatchesPerPassOrder) {
@@ -622,11 +631,6 @@ TEST(StaticOrder, OrderIsPermutationInvariantAndSortsByKey) {
     ref.eligible_time = static_cast<double>(rng.uniform_int(0, 3));
     queue.push_back(ref);
   }
-  const auto identities = [](const std::vector<sched::TaskRef>& q) {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
-    for (const auto& r : q) out.emplace_back(r.job_id, r.task_id);
-    return out;
-  };
   const sched::SchedState state;
   for (auto& policy : static_policies()) {
     auto by_key = queue;
@@ -917,11 +921,6 @@ TEST(PerPass, OrderLeavesSortedInputUntouched) {
 }
 
 TEST(PerPass, OrderSortsInputWithOneElementOutOfPlace) {
-  const auto identities = [](const std::vector<sched::TaskRef>& q) {
-    std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
-    for (const auto& r : q) out.emplace_back(r.job_id, r.task_id);
-    return out;
-  };
   std::vector<sched::TaskRef> sorted;
   for (std::uint32_t i = 0; i < 30; ++i) {
     sched::TaskRef ref;
@@ -968,14 +967,6 @@ sched::OrderKey full_sort_key(
   for (const auto& [user, value] : usage)
     if (user == ref.user) used = value;
   return {used, ref.submit_time, ref.job_id, ref.task_id};
-}
-
-std::vector<std::tuple<std::uint64_t, std::uint32_t, double>> identities(
-    const std::vector<sched::TaskRef>& q) {
-  std::vector<std::tuple<std::uint64_t, std::uint32_t, double>> out;
-  for (const auto& r : q)
-    out.emplace_back(r.job_id, r.task_id, r.eligible_time);
-  return out;
 }
 
 }  // namespace
