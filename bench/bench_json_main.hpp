@@ -10,12 +10,7 @@
 //                        outside a git checkout);
 //   * atlarge_build_type — CMAKE_BUILD_TYPE of this build, so the perf
 //                        gate (bench/compare_bench.py) can refuse to
-//                        compare a Debug run against a Release baseline;
-//   * queue_backend    — which kernel event-queue backend the process
-//                        defaults to. Selectable per run via the
-//                        ATLARGE_SIM_QUEUE environment variable ("heap" or
-//                        "calendar") for head-to-head comparisons without
-//                        a rebuild.
+//                        compare a Debug run against a Release baseline.
 //
 // Usage (exactly once per binary, after all BENCHMARK registrations):
 //
@@ -23,12 +18,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
-
-#include "atlarge/sim/simulation.hpp"
 
 #ifndef ATLARGE_GIT_SHA
 #define ATLARGE_GIT_SHA "unknown"
@@ -38,20 +29,6 @@
 #endif
 
 namespace atlarge::bench {
-
-/// Applies the ATLARGE_SIM_QUEUE selection (if set) and returns the name
-/// of the resulting process-wide default backend.
-inline const char* apply_queue_backend_env() {
-  const char* env = std::getenv("ATLARGE_SIM_QUEUE");
-  if (env != nullptr) {
-    if (std::strcmp(env, "calendar") == 0)
-      sim::set_default_queue_kind(sim::QueueKind::kCalendar);
-    else if (std::strcmp(env, "heap") == 0)
-      sim::set_default_queue_kind(sim::QueueKind::kHeap);
-  }
-  return sim::default_queue_kind() == sim::QueueKind::kHeap ? "heap"
-                                                            : "calendar";
-}
 
 /// Runs the registered benchmarks, rewriting `--json[=path]` (default
 /// output path `default_json`) into --benchmark_out/--benchmark_out_format.
@@ -89,7 +66,6 @@ inline int run_benchmarks_with_json_flag(int argc, char** argv,
     return 1;
   benchmark::AddCustomContext("git_sha", ATLARGE_GIT_SHA);
   benchmark::AddCustomContext("atlarge_build_type", ATLARGE_BUILD_TYPE);
-  benchmark::AddCustomContext("queue_backend", apply_queue_backend_env());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

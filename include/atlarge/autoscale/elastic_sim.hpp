@@ -42,7 +42,7 @@ struct ElasticConfig {
   /// kernel.
   obs::Observability* obs = nullptr;
   /// Optional fault plan (not owned, may be null), replayed through the
-  /// kernel fault hook. The elastic pool interprets kMachineCrash: the
+  /// a fault::Injector. The elastic pool interprets kMachineCrash: the
   /// target machine is lost (its rental ends, its running tasks are
   /// killed and re-queued); the autoscaler heals the capacity loss
   /// through ordinary provisioning. A null or empty plan keeps behaviour

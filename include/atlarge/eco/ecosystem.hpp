@@ -149,7 +149,6 @@ struct EcosystemSpec {
   /// use the rest; without mmog everything collapses to one LP).
   std::size_t shards = 1;
   std::size_t threads = 1;
-  sim::QueueKind queue = sim::default_queue_kind();
 };
 
 /// Fabric-side counters of one composed run.

@@ -1,14 +1,14 @@
 #pragma once
-// Injector: bridges a FaultPlan onto a sim::Simulation through the
-// kernel's fault hook, so injections are ordinary kernel events — totally
-// ordered against domain events, deterministic, and visible to the
-// attached Observer like any other event.
+// Injector: bridges a FaultPlan onto a sim::Simulation by scheduling each
+// injection as an ordinary kernel event — totally ordered against domain
+// events, deterministic, and visible to the attached Observer like any
+// other event. The kernel itself never interprets faults.
 //
 // Usage (domain engines):
 //   fault::Injector injector(plan, obs);
 //   injector.on_kind(fault::FaultKind::kMachineCrash,
 //                    [&](const fault::FaultEvent& e) { crash(e); });
-//   sim.set_fault_hook(&injector);   // schedules one event per plan entry
+//   injector.attach(sim);   // schedules one event per plan entry
 //
 // The injector mirrors every handled injection into the obs plane:
 // `fault.injected` (plus a per-kind `fault.injected.<kind>` counter) and a
@@ -33,7 +33,7 @@ class Observability;
 
 namespace atlarge::fault {
 
-class Injector final : public sim::FaultHook {
+class Injector {
  public:
   using Handler = std::function<void(const FaultEvent&)>;
 
@@ -43,12 +43,13 @@ class Injector final : public sim::FaultHook {
                     obs::Observability* obs = nullptr);
 
   /// Registers the handler for `kind` (replacing any previous one).
-  /// Register handlers *before* attaching the hook.
+  /// Register handlers *before* attach().
   void on_kind(FaultKind kind, Handler handler);
 
-  /// sim::FaultHook: schedules one kernel event per plan entry. Called by
-  /// Simulation::set_fault_hook.
-  void attach(sim::Simulation& sim) override;
+  /// Schedules one kernel event per plan entry on `sim`. Call once, before
+  /// the domain schedules its own events, so that at equal timestamps an
+  /// injection fires first. `sim` must outlive the scheduled events.
+  void attach(sim::Simulation& sim);
 
   /// Domains call this when a fault heals (machine restarted, invocation
   /// succeeded after faulted attempts): bumps `fault.recovered` and emits

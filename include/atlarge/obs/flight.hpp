@@ -15,7 +15,7 @@
 // instant events carrying {seq, cause, detail} args, loadable in Perfetto
 // / about://tracing next to the Tracer's span exports. The dump is a pure
 // function of recorded sim-time history, so it is byte-identical across
-// queue backends and host thread counts.
+// runs and host thread counts.
 //
 // Event names follow the Tracer discipline: string literals only (the
 // recorder stores the pointer, not a copy).

@@ -17,7 +17,7 @@
 // bad fraction divided by the error budget — and raises an alert on the
 // rising edge of "both windows burn above their thresholds". Alert times
 // are sampling boundaries, i.e. deterministic sim-time values that are
-// byte-identical across queue backends and host thread counts.
+// byte-identical across runs and host thread counts.
 //
 // Windows are bucketed rings (kWindowBuckets per window) allocated when
 // the spec is added, so steady-state evaluation is allocation-free. Drive

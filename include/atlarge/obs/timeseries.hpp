@@ -11,7 +11,7 @@
 // sample is a handful of loads and stores — zero-alloc steady state, with
 // dropped() counting rows that overwrote the oldest history. Rows are a
 // pure function of sim-time state, so the recorded series is byte-identical
-// across queue backends and host thread counts.
+// across runs and host thread counts.
 //
 // Export: csv() for eyeballs and spreadsheets (%.17g, exact round-trip),
 // json() for tools (shared JsonWriter formatting). Both are deterministic

@@ -105,7 +105,7 @@ struct SimOptions {
   /// place/complete/crash/requeue events with causal links.
   obs::Observability* obs = nullptr;
   /// Optional fault plan (not owned, may be null), replayed through the
-  /// kernel fault hook. The scheduler interprets kMachineCrash (machine
+  /// a fault::Injector. The scheduler interprets kMachineCrash (machine
   /// down for the event's duration; its running tasks are killed and
   /// re-queued, restarting from scratch) and kSlowdown (machine limps at
   /// base speed x magnitude for the duration; affects new placements).
@@ -125,7 +125,7 @@ class SchedEngine;
 /// Composable form of the scheduling simulator: the same engine `simulate`
 /// runs, but driven by an externally owned kernel so several domain
 /// simulators can share one clock (eco::Ecosystem). The driver schedules
-/// its arrivals and fault hooks in prepare(), the caller runs the shared
+/// its arrivals and fault injections in prepare(), the caller runs the shared
 /// kernel, and collect() finalizes the result. With no seam calls the
 /// event stream is byte-identical to a standalone simulate() run.
 ///
@@ -146,7 +146,7 @@ class SchedDriver {
   SchedDriver(const SchedDriver&) = delete;
   SchedDriver& operator=(const SchedDriver&) = delete;
 
-  /// Schedules fault hooks and job arrivals on the shared kernel.
+  /// Schedules fault injections and job arrivals on the shared kernel.
   void prepare();
   /// Finalizes statistics after the shared kernel has run. The result is
   /// independent of the kernel's final clock: stats derive from job

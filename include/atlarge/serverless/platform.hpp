@@ -51,7 +51,7 @@ struct PlatformConfig {
   /// fail events with causal links.
   obs::Observability* obs = nullptr;
   /// Optional fault plan (not owned, may be null), replayed through the
-  /// kernel fault hook. The platform interprets kMessageLoss (requests
+  /// a fault::Injector. The platform interprets kMessageLoss (requests
   /// dispatched in the window are dropped), kMessageDelay (requests in
   /// the window are deferred to its end, no attempt consumed), and
   /// kColdStartFailure (new containers for the target function cannot be
@@ -172,7 +172,7 @@ class FaasEngine;
 /// Composable form of the platform: the same engine run_platform uses, but
 /// scheduled onto an externally owned kernel so several domain simulators
 /// share one clock (eco::Ecosystem). prepare() schedules prewarm pools,
-/// fault hooks, and arrivals; the caller runs the shared kernel past the
+/// fault injections, and arrivals; the caller runs the shared kernel past the
 /// platform's quiescence; collect() finalizes. With a null backing and no
 /// fail_machine calls the per-domain event stream is byte-identical to a
 /// standalone run_platform run.
@@ -188,7 +188,7 @@ class PlatformDriver {
   PlatformDriver(const PlatformDriver&) = delete;
   PlatformDriver& operator=(const PlatformDriver&) = delete;
 
-  /// Schedules prewarm pools, fault hooks, and invocation arrivals.
+  /// Schedules prewarm pools, fault injections, and invocation arrivals.
   void prepare();
   /// Finalizes statistics after the shared kernel has run. Correct as
   /// long as the kernel ran past the platform's last invocation finish;

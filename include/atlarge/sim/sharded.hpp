@@ -1,13 +1,13 @@
 #pragma once
 // Sharded parallel discrete-event simulation: one simulation partitioned
 // into logical processes (LPs), each owning a private event queue (the
-// same heap/calendar kernel as Simulation), synchronized by conservative
+// same heap kernel as Simulation), synchronized by conservative
 // lookahead windows in the Chandy-Misra-Bryant tradition and executed on
 // sim::ThreadPool workers (DESIGN.md section 12).
 //
 // Model
-//  * Each LP is a full sim::Simulation — queue backend, arena, observer,
-//    sampling hook, fault hooks all work per-LP unchanged.
+//  * Each LP is a full sim::Simulation — event queue, arena, observer,
+//    sampling hook and fault injector all work per-LP unchanged.
 //  * Cross-LP interaction goes exclusively through send(): a closure to
 //    execute on the destination LP at a future timestamp. Sends are
 //    buffered in per-source outboxes during a window and delivered at the
@@ -68,9 +68,6 @@ struct ShardOptions {
   /// cross-LP send. 0 is always safe but serializes one timestamp per
   /// window.
   double lookahead = 0.0;
-  /// Queue backend for every LP (follows the process-wide default, so the
-  /// backend matrix in tests covers sharded runs too).
-  QueueKind queue = default_queue_kind();
 };
 
 class ShardedSimulation {
@@ -127,7 +124,6 @@ class ShardedSimulation {
   // Sized and aligned so two lanes never share a cache line through
   // adjacent LPs' outboxes.
   struct alignas(64) Lp {
-    explicit Lp(QueueKind kind) : sim(kind) {}
     Simulation sim;
     std::vector<Message> outbox;  // appended only by the lane running it
     std::uint64_t next_send_seq = 0;

@@ -27,17 +27,16 @@
 // Observer::on_alloc_event, so tests can assert that a pre-sized run is
 // allocation-free in steady state.
 //
-// Two queue backends order the same packed 128-bit records: the default
-// 4-ary min-heap (cache-friendly, O(log n), robust under any schedule
-// shape) and a calendar queue (O(1) amortized under churny,
-// near-uniform schedules — atlarge/sim/calendar_queue.hpp). Both pop the
-// exact total-order minimum, so the backend choice can never change
-// simulation results, only speed. run()/run_until() drain equal-time
-// events in batches: one queue extraction per distinct timestamp instead
-// of one pop per event.
+// The event queue is a 4-ary min-heap over packed 128-bit records
+// (cache-friendly, O(log n), robust under any schedule shape); one
+// unsigned compare of two records is the full (time, seq) event order.
+// run()/run_until() drain equal-time events in batches: one queue
+// extraction per distinct timestamp instead of one dispatch round per
+// event.
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -50,7 +49,6 @@
 #include <vector>
 
 #include "atlarge/sim/arena.hpp"
-#include "atlarge/sim/calendar_queue.hpp"
 
 namespace atlarge::sim {
 
@@ -58,20 +56,6 @@ namespace atlarge::sim {
 using Time = double;
 
 class Simulation;
-
-/// Which event-queue backend a Simulation orders its records with. Both
-/// produce byte-identical event orderings (exact total-order pops); the
-/// choice is purely a performance trade pinned down in DESIGN.md.
-enum class QueueKind {
-  kHeap,      ///< 4-ary min-heap: O(log n), robust default.
-  kCalendar,  ///< calendar queue: O(1) amortized under dense schedules.
-};
-
-/// Process-wide default backend for newly constructed Simulations
-/// (initially QueueKind::kHeap). Benchmarks flip this to compare backends
-/// without threading a parameter through every domain engine.
-QueueKind default_queue_kind() noexcept;
-void set_default_queue_kind(QueueKind kind) noexcept;
 
 namespace detail {
 
@@ -143,8 +127,8 @@ class Observer {
 /// the clock crosses, *before* executing any event at or past the
 /// boundary — so a sample at time b observes exactly the state produced by
 /// events strictly earlier than b. Boundaries are derived from event
-/// timestamps alone, so the sample stream is byte-identical across queue
-/// backends and independent of host threading. A Simulation with no hook
+/// timestamps alone, so the sample stream is independent of host
+/// threading and of the shard layout. A Simulation with no hook
 /// attached pays one pointer test per batch; hooks must not schedule or
 /// cancel events. run_until(t) with finite t also emits the trailing
 /// boundaries up to t after the queue drains, so a recorded series covers
@@ -155,23 +139,6 @@ class SamplingHook {
 
   /// The clock reached sampling boundary `now` (== k * interval).
   virtual void on_sample(Time now) = 0;
-};
-
-/// Optional fault hook: a domain-agnostic seam through which a fault
-/// plane schedules failure injections as ordinary kernel events, so
-/// injections are totally ordered against domain events and every run
-/// remains a deterministic function of its inputs. The fault module
-/// provides the standard implementation (atlarge::fault::Injector), which
-/// replays a materialized FaultPlan; custom hooks can subclass directly.
-/// The kernel itself never interprets faults — it only gives the hook a
-/// chance to schedule its injections when attached.
-class FaultHook {
- public:
-  virtual ~FaultHook() = default;
-
-  /// Called once by Simulation::set_fault_hook: schedule the hook's
-  /// injections (via schedule_at/schedule_after) on `sim`.
-  virtual void attach(Simulation& sim) = 0;
 };
 
 /// Handle to a scheduled event; allows cancellation. Default-constructed
@@ -215,16 +182,13 @@ class Simulation {
   /// a callable is, but the kernel no longer stores payloads through it.
   using Action = std::function<void()>;
 
-  explicit Simulation(QueueKind kind = default_queue_kind());
+  Simulation() = default;
   ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
   /// Current simulated time.
   Time now() const noexcept { return now_; }
-
-  /// Which queue backend this instance orders events with.
-  QueueKind queue_kind() const noexcept { return kind_; }
 
   /// Schedules `action` at absolute simulated time `at` (>= now()).
   /// Scheduling in the past is clamped to now(). The callable is stored
@@ -320,13 +284,10 @@ class Simulation {
     owner_thread_.store(0, std::memory_order_relaxed);
   }
 
-  /// Pre-sizes the event pool, queue (heap or calendar buckets), dispatch
-  /// scratch, and — when `payload_bytes` > 0 — the payload arena, for
-  /// `events` concurrent events. A heap-backed workload that stays within
-  /// these bounds runs without touching the system allocator
-  /// (alloc_events() stays 0); the calendar backend additionally grows
-  /// bucket capacities toward the schedule's day clustering during a first
-  /// rotation of the table, then goes allocation-free too.
+  /// Pre-sizes the event pool, queue, dispatch scratch, and — when
+  /// `payload_bytes` > 0 — the payload arena, for `events` concurrent
+  /// events. A workload that stays within these bounds runs without
+  /// touching the system allocator (alloc_events() stays 0).
   void reserve(std::size_t events, std::size_t payload_bytes = 0);
 
   /// Number of system-allocator events (pool/queue growth, arena chunks,
@@ -341,15 +302,6 @@ class Simulation {
   /// Not owned; must outlive the Simulation or be detached first.
   void set_observer(Observer* observer) noexcept { observer_ = observer; }
   Observer* observer() const noexcept { return observer_; }
-
-  /// Attaches a fault hook and lets it schedule its injections (attach()
-  /// is invoked immediately). Not owned; must outlive the Simulation.
-  /// Passing nullptr detaches without side effects.
-  void set_fault_hook(FaultHook* hook) {
-    fault_hook_ = hook;
-    if (hook != nullptr) hook->attach(*this);
-  }
-  FaultHook* fault_hook() const noexcept { return fault_hook_; }
 
   /// Attaches a periodic sampling hook invoked at every multiple of
   /// `interval` the clock crosses during run()/run_until() (see
@@ -418,10 +370,17 @@ class Simulation {
     }
   };
 
+  /// What the queue orders: one 128-bit integer per event, laid out as
+  /// (time bits : 64 | seq : 40 | slot : 24). Simulated time is always
+  /// >= 0, and non-negative IEEE-754 doubles order identically to their
+  /// bit patterns, so a single unsigned compare is exactly the
+  /// (time, seq, slot) event order.
+  using QueueRecord = unsigned __int128;
+
   static QueueRecord pack(Time time, std::uint64_t seq_slot) noexcept;
   static constexpr unsigned kSlotBits = 24;
   static Time record_time(QueueRecord rec) noexcept {
-    return queue_record_time(rec);
+    return std::bit_cast<Time>(static_cast<std::uint64_t>(rec >> 64));
   }
   static std::uint32_t record_slot(QueueRecord rec) noexcept {
     return static_cast<std::uint32_t>(static_cast<std::uint64_t>(rec) &
@@ -459,18 +418,10 @@ class Simulation {
   /// to each boundary before invoking the hook.
   void emit_samples(Time upto);
 
-  // Queue backend dispatch: one branch per operation on `kind_`, perfectly
-  // predicted in any real run.
-  bool queue_empty() const noexcept;
-  QueueRecord queue_front();
-  void queue_pop_front();
-  void queue_push(QueueRecord rec);
-  /// Moves every record at the front timestamp into batch_, sorted by full
-  /// record order (== scheduling order at equal time).
-  void queue_extract_equal_run();
-
   void heap_push(QueueRecord rec);
   void heap_pop_front() noexcept;
+  /// Moves every record at the front timestamp into batch_, in full
+  /// record order (== scheduling order at equal time).
   void heap_extract_equal_run();
 
   // 4-ary min-heap with bottom-up ("hole-sinking") pop: half the levels of
@@ -484,7 +435,6 @@ class Simulation {
   // storage) execute while the arena is still alive.
   PayloadArena arena_;
   std::vector<QueueRecord> heap_;
-  CalendarQueue calendar_;
   std::vector<EventSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
   // Batched-dispatch scratch: the current equal-time run, reused across
@@ -500,11 +450,9 @@ class Simulation {
   // bind/clear race-free across window hand-offs.
   std::atomic<std::size_t> owner_thread_{0};
   Observer* observer_ = nullptr;
-  FaultHook* fault_hook_ = nullptr;
   SamplingHook* sampling_hook_ = nullptr;
   Time sample_interval_ = 0.0;
   Time next_sample_ = 0.0;
-  QueueKind kind_ = QueueKind::kHeap;
   bool stopped_ = false;
 };
 

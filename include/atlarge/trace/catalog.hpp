@@ -13,7 +13,7 @@
 //     adapters.
 // Replay summary statistics are deterministic: a scenario replayed from
 // the same events yields byte-identical ReplaySummary::text() regardless
-// of campaign thread count or kernel queue backend.
+// of campaign thread count.
 
 #include <cstdint>
 #include <string>

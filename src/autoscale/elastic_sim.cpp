@@ -92,7 +92,7 @@ class ElasticEngine {
       injector_.emplace(*config_.faults, obs_);
       injector_->on_kind(fault::FaultKind::kMachineCrash,
                          [this](const fault::FaultEvent& e) { crash(e); });
-      sim_.set_fault_hook(&*injector_);
+      injector_->attach(sim_);
     }
     for (std::uint32_t i = 0; i < config_.min_machines; ++i) add_machine();
     for (std::size_t ji = 0; ji < jobs_.size(); ++ji)

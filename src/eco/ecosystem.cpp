@@ -316,7 +316,6 @@ struct EcoEngine {
     options.shards = shards;
     options.threads = std::max<std::size_t>(1, spec.threads);
     options.lookahead = lookahead;
-    options.queue = spec.queue;
     sharded = std::make_unique<sim::ShardedSimulation>(options);
   }
 
@@ -497,7 +496,7 @@ struct EcoEngine {
           [this](const fault::FaultEvent& e) {
             fabric->crash(e.target, e.duration);
           });
-      core.set_fault_hook(fabric_injector.get());
+      fabric_injector->attach(core);
     }
 
     if (faas != nullptr) faas->prepare();

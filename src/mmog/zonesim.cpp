@@ -236,7 +236,7 @@ void ZoneWorld::prepare() {
             if (engine.lp_of(zone) != l) return;  // not hosted here
             engine.churn(zone, e.magnitude);
           });
-      sharded.lp(l).set_fault_hook(injector.get());
+      injector->attach(sharded.lp(l));
       injectors_.push_back(std::move(injector));
     }
   }

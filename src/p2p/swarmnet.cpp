@@ -316,7 +316,7 @@ SwarmNetResult simulate_swarm_network(
                           if (engine.lp_of(s) != l) return;
                           engine.churn(s, e.time, e.magnitude);
                         });
-      sharded.lp(l).set_fault_hook(injector.get());
+      injector->attach(sharded.lp(l));
       injectors.push_back(std::move(injector));
     }
   }

@@ -230,7 +230,7 @@ class SchedEngine {
                        [this](const fault::FaultEvent& e) { slow_down(e); });
     // Attached before arrivals are scheduled, so at equal timestamps an
     // injection fires before the arrival it could affect.
-    sim_.set_fault_hook(&*injector_);
+    injector_->attach(sim_);
   }
 
   void crash(const fault::FaultEvent& e) {

@@ -284,7 +284,7 @@ class FaasEngine {
                        });
     // Attached before arrivals are scheduled, so at equal timestamps the
     // window-opening injection fires before the dispatch it affects.
-    sim_.set_fault_hook(&*injector_);
+    injector_->attach(sim_);
   }
 
   void dispatch(std::size_t i) {

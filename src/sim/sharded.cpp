@@ -17,7 +17,7 @@ ShardedSimulation::ShardedSimulation(const ShardOptions& options)
   const std::size_t shards = std::max<std::size_t>(1, options.shards);
   lps_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i)
-    lps_.push_back(std::make_unique<Lp>(options.queue));
+    lps_.push_back(std::make_unique<Lp>());
   lanes_ = std::min(pool_.size(), shards);
   lane_executed_.resize(lanes_, 0);
 }

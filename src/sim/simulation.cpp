@@ -1,7 +1,6 @@
 #include "atlarge/sim/simulation.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -9,20 +8,6 @@
 #include <utility>
 
 namespace atlarge::sim {
-
-namespace {
-std::atomic<QueueKind> g_default_queue_kind{QueueKind::kHeap};
-}  // namespace
-
-QueueKind default_queue_kind() noexcept {
-  return g_default_queue_kind.load(std::memory_order_relaxed);
-}
-
-void set_default_queue_kind(QueueKind kind) noexcept {
-  g_default_queue_kind.store(kind, std::memory_order_relaxed);
-}
-
-Simulation::Simulation(QueueKind kind) : kind_(kind) {}
 
 // Out of line so EventSlot destructors (which may destroy arena-resident
 // payloads) run before arena_ — guaranteed by member order: arena_ is
@@ -104,7 +89,8 @@ void Simulation::release_slot(std::uint32_t slot) noexcept {
   free_slots_.push_back(slot);
 }
 
-QueueRecord Simulation::pack(Time time, std::uint64_t seq_slot) noexcept {
+Simulation::QueueRecord Simulation::pack(Time time,
+                                         std::uint64_t seq_slot) noexcept {
   // Valid because time >= 0 (clamped in schedule_at): the IEEE-754 bit
   // pattern of a non-negative double is monotone in its value.
   return (static_cast<QueueRecord>(std::bit_cast<std::uint64_t>(time)) << 64) |
@@ -114,8 +100,8 @@ QueueRecord Simulation::pack(Time time, std::uint64_t seq_slot) noexcept {
 Time Simulation::next_event_time() {
   assert_owner_thread();
   purge_cancelled();
-  return queue_empty() ? std::numeric_limits<Time>::infinity()
-                       : record_time(queue_front());
+  return heap_.empty() ? std::numeric_limits<Time>::infinity()
+                      : record_time(heap_.front());
 }
 
 EventHandle Simulation::schedule_slot(Time at, std::uint32_t slot) {
@@ -123,54 +109,13 @@ EventHandle Simulation::schedule_slot(Time at, std::uint32_t slot) {
   s.live = true;
   ++live_;
   const Time when = std::max(at, now_);
-  queue_push(pack(when, (next_seq_++ << kSlotBits) | slot));
+  heap_push(pack(when, (next_seq_++ << kSlotBits) | slot));
   if (observer_ != nullptr) observer_->on_schedule(when, live_);
   return EventHandle(this, slot, s.generation);
 }
 
-bool Simulation::queue_empty() const noexcept {
-  return kind_ == QueueKind::kHeap ? heap_.empty() : calendar_.empty();
-}
-
-QueueRecord Simulation::queue_front() {
-  return kind_ == QueueKind::kHeap ? heap_.front() : calendar_.front();
-}
-
-void Simulation::queue_pop_front() {
-  if (kind_ == QueueKind::kHeap) {
-    heap_pop_front();
-  } else if (calendar_.pop_front()) {
-    note_alloc_event();
-  }
-}
-
-void Simulation::queue_push(QueueRecord rec) {
-  if (kind_ == QueueKind::kHeap) {
-    if (heap_.size() == heap_.capacity()) note_alloc_event();
-    heap_push(rec);
-  } else if (calendar_.push(rec)) {
-    note_alloc_event();
-  }
-}
-
-void Simulation::queue_extract_equal_run() {
-  batch_.clear();
-  const std::size_t cap_before = batch_.capacity();
-  if (kind_ == QueueKind::kHeap) {
-    // Heap pops come out already sorted — no post-pass needed.
-    heap_extract_equal_run();
-  } else {
-    if (calendar_.extract_equal_run(batch_)) note_alloc_event();
-    // The bucket sweep collects in bucket order; sorting by full 128-bit
-    // record restores (time, seq) scheduling order — every record in the
-    // batch shares one timestamp, so this is exactly the
-    // tie-break-by-sequence order the per-pop loop used to produce.
-    std::sort(batch_.begin(), batch_.end());
-  }
-  if (batch_.capacity() != cap_before) note_alloc_event();
-}
-
 void Simulation::heap_push(QueueRecord rec) {
+  if (heap_.size() == heap_.capacity()) note_alloc_event();
   heap_.push_back(rec);
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
@@ -211,17 +156,17 @@ void Simulation::heap_pop_front() noexcept {
   heap_[i] = back;
 }
 
-// Removes every record sharing the root's timestamp and appends them to
-// batch_ — already in full record order, because consecutive heap pops of
-// equal-time records come out sorted by (seq, slot). Equal-key pops on
-// the 4-ary heap are cheap (the replacement's float-up is shallow while
-// the root's timestamp repeats), so pop-collection measured faster here
-// than subtree extraction with Floyd-style hole repair — the batching win
-// on the heap is in the dispatch loop (queue mutation decoupled from
-// action side effects, one timestamp resolution per run), not in the pop
-// count. The calendar backend's extract is the opposite: one bucket sweep
-// replaces per-pop year scans entirely.
+// Replaces batch_ with every record sharing the root's timestamp — already
+// in full record order, because consecutive heap pops of equal-time
+// records come out sorted by (seq, slot). Equal-key pops on the 4-ary
+// heap are cheap (the replacement's float-up is shallow while the root's
+// timestamp repeats), so pop-collection measured faster here than subtree
+// extraction with Floyd-style hole repair — the batching win is in the
+// dispatch loop (queue mutation decoupled from action side effects, one
+// timestamp resolution per run), not in the pop count.
 void Simulation::heap_extract_equal_run() {
+  batch_.clear();
+  const std::size_t cap_before = batch_.capacity();
   const QueueRecord front = heap_.front();
   const std::uint64_t time_bits = static_cast<std::uint64_t>(front >> 64);
   batch_.push_back(front);
@@ -231,17 +176,14 @@ void Simulation::heap_extract_equal_run() {
     batch_.push_back(heap_.front());
     heap_pop_front();
   }
+  if (batch_.capacity() != cap_before) note_alloc_event();
 }
 
 void Simulation::reserve(std::size_t events, std::size_t payload_bytes) {
   slots_.reserve(events);
   free_slots_.reserve(events);
   batch_.reserve(events);
-  if (kind_ == QueueKind::kHeap) {
-    heap_.reserve(events);
-  } else {
-    calendar_.reserve(events);
-  }
+  heap_.reserve(events);
   arena_.reserve(events * EventSlot::kInlineBytes + payload_bytes);
 }
 
@@ -291,9 +233,9 @@ void Simulation::fire_slot(std::uint32_t slot) {
 
 bool Simulation::step() {
   assert_owner_thread();
-  while (!queue_empty()) {
-    const QueueRecord top = queue_front();
-    queue_pop_front();
+  while (!heap_.empty()) {
+    const QueueRecord top = heap_.front();
+    heap_pop_front();
     const std::uint32_t slot = record_slot(top);
     if (!slots_[slot].live) {  // cancelled tombstone
       release_slot(slot);
@@ -307,11 +249,11 @@ bool Simulation::step() {
 }
 
 void Simulation::purge_cancelled() {
-  while (!queue_empty()) {
-    const QueueRecord front = queue_front();
+  while (!heap_.empty()) {
+    const QueueRecord front = heap_.front();
     const std::uint32_t slot = record_slot(front);
     if (slots_[slot].live) break;
-    queue_pop_front();
+    heap_pop_front();
     release_slot(slot);
   }
 }
@@ -326,7 +268,7 @@ void Simulation::purge_cancelled() {
 // out during execution so a reentrant run() inside an action cannot
 // clobber the batch being drained.
 std::size_t Simulation::run_batch() {
-  queue_extract_equal_run();
+  heap_extract_equal_run();
   now_ = record_time(batch_.front());
   struct BatchGuard {
     Simulation* sim;
@@ -334,7 +276,7 @@ std::size_t Simulation::run_batch() {
     std::size_t next = 0;
     ~BatchGuard() {
       for (std::size_t j = next; j < batch.size(); ++j)
-        sim->queue_push(batch[j]);
+        sim->heap_push(batch[j]);
       batch.clear();
       sim->batch_.swap(batch);  // hand the capacity back for reuse
     }
@@ -359,7 +301,7 @@ std::size_t Simulation::run_batch() {
 // clock steps to each boundary (so the hook sees now() == boundary), the
 // hook observes the state produced by strictly earlier events, and only
 // then does the batch advance the clock. Boundary times depend on event
-// timestamps alone, never on the queue backend.
+// timestamps alone.
 void Simulation::emit_samples(Time upto) {
   while (next_sample_ <= upto) {
     now_ = next_sample_;
@@ -377,13 +319,13 @@ std::size_t Simulation::run_until(Time until) {
   // earlier timestamp than the first live event, and peeking at it would
   // stop the run short of events that should still fire.
   purge_cancelled();
-  while (!stopped_ && !queue_empty() &&
-         record_time(queue_front()) <= until) {
-    if (sampling_hook_ != nullptr) emit_samples(record_time(queue_front()));
+  while (!stopped_ && !heap_.empty() &&
+         record_time(heap_.front()) <= until) {
+    if (sampling_hook_ != nullptr) emit_samples(record_time(heap_.front()));
     executed += run_batch();
     purge_cancelled();
   }
-  if (queue_empty() || record_time(queue_front()) > until) {
+  if (heap_.empty() || record_time(heap_.front()) > until) {
     // Cover the idle tail so a recorded series spans the full horizon (an
     // infinite horizon has no tail to cover).
     if (sampling_hook_ != nullptr && !stopped_ && std::isfinite(until))
@@ -400,8 +342,8 @@ std::size_t Simulation::run() {
   std::size_t executed = 0;
   if (observer_ != nullptr) observer_->on_run_begin(now_);
   purge_cancelled();
-  while (!stopped_ && !queue_empty()) {
-    if (sampling_hook_ != nullptr) emit_samples(record_time(queue_front()));
+  while (!stopped_ && !heap_.empty()) {
+    if (sampling_hook_ != nullptr) emit_samples(record_time(heap_.front()));
     executed += run_batch();
     purge_cancelled();
   }

@@ -229,7 +229,7 @@ TEST(Injector, DeliversHandledEventsInPlanOrder) {
   std::vector<std::uint32_t> seen;
   injector.on_kind(FaultKind::kMachineCrash,
                    [&](const FaultEvent& e) { seen.push_back(e.target); });
-  sim.set_fault_hook(&injector);
+  injector.attach(sim);
   sim.run();
   EXPECT_EQ(seen, (std::vector<std::uint32_t>{1, 2}));
   EXPECT_EQ(injector.injected(), 2u);
@@ -244,14 +244,14 @@ TEST(Injector, CountsUnhandledKindsAsIgnored) {
   sim::Simulation sim;
   fault::Injector injector(plan);
   injector.on_kind(FaultKind::kMachineCrash, [](const FaultEvent&) {});
-  sim.set_fault_hook(&injector);
+  injector.attach(sim);
   sim.run();
   EXPECT_EQ(injector.injected(), 1u);
   EXPECT_EQ(injector.ignored(), 1u);
 }
 
 TEST(Injector, FiresBeforeDomainEventsAtEqualTime) {
-  // The fault hook attaches (and schedules its injections) before domains
+  // The injector attaches (and schedules its injections) before domains
   // schedule their arrivals, so at equal timestamps the injection wins the
   // sequence-number tiebreak — windows opened by a fault are already
   // visible to a domain event at the same instant.
@@ -263,7 +263,7 @@ TEST(Injector, FiresBeforeDomainEventsAtEqualTime) {
   std::vector<std::string> order;
   injector.on_kind(FaultKind::kMessageLoss,
                    [&](const FaultEvent&) { order.push_back("fault"); });
-  sim.set_fault_hook(&injector);
+  injector.attach(sim);
   sim.schedule_at(5.0, [&] { order.push_back("domain"); });
   sim.run();
   EXPECT_EQ(order, (std::vector<std::string>{"fault", "domain"}));
@@ -280,7 +280,7 @@ TEST(Injector, MirrorsCountersAndSpansIntoObs) {
   fault::Injector injector(plan, &plane);
   injector.on_kind(FaultKind::kMessageLoss, [](const FaultEvent&) {});
   injector.on_kind(FaultKind::kSlowdown, [](const FaultEvent&) {});
-  sim.set_fault_hook(&injector);
+  injector.attach(sim);
   sim.run();
   injector.recovered(plan.events()[0], sim.now());
 
@@ -290,14 +290,6 @@ TEST(Injector, MirrorsCountersAndSpansIntoObs) {
   EXPECT_EQ(plane.metrics.counter("fault.recovered").value(), 1u);
   EXPECT_EQ(injector.recovered_count(), 1u);
   EXPECT_GE(plane.tracer.size(), 4u);  // three injections + one recovery
-}
-
-TEST(Injector, DetachedHookIsInert) {
-  sim::Simulation sim;
-  sim.set_fault_hook(nullptr);
-  EXPECT_EQ(sim.fault_hook(), nullptr);
-  sim.schedule_at(1.0, [] {});
-  EXPECT_EQ(sim.run(), 1u);
 }
 
 }  // namespace

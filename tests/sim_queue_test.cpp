@@ -1,17 +1,24 @@
-// Property tests for the kernel's two queue backends and the batched
-// dispatch path. The contract under test: the 4-ary heap and the calendar
-// queue pop the exact total-order minimum of the same packed 128-bit
-// records, so the two backends produce BYTE-IDENTICAL event orderings on
-// any schedule — ties at equal timestamps, cancelled tombstones, nested
-// scheduling, and sparse far-future schedules included. Alongside it, the
+// Property tests for the kernel's event queue and the batched dispatch
+// path. The contract under test: the 4-ary heap pops the exact total-order
+// minimum of the packed (time, seq) records, so on any schedule — ties at
+// equal timestamps, cancelled tombstones, nested scheduling, sparse
+// far-future times and grow/shrink churn included — the kernel fires
+// events in the same order as a brute-force reference that keeps every
+// pending event in a std::map keyed by (time, seq). Alongside it, the
 // allocation-accounting contract: a reserve()-sized run touches the
 // system allocator exactly zero times, observable both through
 // Simulation::alloc_events() and the Observer::on_alloc_event mirror.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "atlarge/sim/simulation.hpp"
@@ -20,7 +27,6 @@
 namespace {
 
 using atlarge::sim::EventHandle;
-using atlarge::sim::QueueKind;
 using atlarge::sim::Simulation;
 
 std::string exact(double value) {
@@ -29,31 +35,95 @@ std::string exact(double value) {
   return buffer;
 }
 
-/// Restores the process-wide default queue kind on scope exit.
-struct QueueKindGuard {
-  QueueKind saved = atlarge::sim::default_queue_kind();
-  explicit QueueKindGuard(QueueKind kind) {
-    atlarge::sim::set_default_queue_kind(kind);
+/// The ordering oracle: every pending event sits in a std::map keyed by
+/// (time, seq), with a cancel flag, and run() fires map entries front to
+/// back. No batching, no heap, no packed records — only the documented
+/// order (earliest time first, ties in scheduling order) and the clamp of
+/// past times to now().
+class ReferenceQueue {
+ public:
+  using Key = std::pair<double, std::uint64_t>;
+  struct Entry {
+    std::function<void()> action;
+    bool cancelled = false;
+  };
+
+  class Handle {
+   public:
+    Handle() = default;
+    bool cancel() {
+      if (queue_ == nullptr) return false;
+      const auto it = queue_->events_.find(key_);
+      if (it == queue_->events_.end() || it->second.cancelled) return false;
+      it->second.cancelled = true;
+      return true;
+    }
+
+   private:
+    friend class ReferenceQueue;
+    Handle(ReferenceQueue* queue, Key key) : queue_(queue), key_(key) {}
+    ReferenceQueue* queue_ = nullptr;
+    Key key_{};
+  };
+
+  double now() const { return now_; }
+
+  template <class F>
+  Handle schedule_at(double at, F&& action) {
+    const Key key{std::max(at, now_), next_seq_++};
+    events_.emplace(key, Entry{std::forward<F>(action)});
+    return Handle(this, key);
   }
-  ~QueueKindGuard() { atlarge::sim::set_default_queue_kind(saved); }
+
+  template <class F>
+  Handle schedule_after(double delay, F&& action) {
+    return schedule_at(now_ + std::max(delay, 0.0), std::forward<F>(action));
+  }
+
+  std::size_t pending() const {
+    return static_cast<std::size_t>(
+        std::count_if(events_.begin(), events_.end(),
+                      [](const auto& kv) { return !kv.second.cancelled; }));
+  }
+
+  std::size_t run() {
+    std::size_t executed = 0;
+    while (!events_.empty()) {
+      auto node = events_.extract(events_.begin());
+      if (node.mapped().cancelled) continue;
+      now_ = node.key().first;
+      node.mapped().action();
+      ++executed;
+    }
+    return executed;
+  }
+
+ private:
+  std::map<Key, Entry> events_;
+  double now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
 };
 
-constexpr QueueKind kBothKinds[] = {QueueKind::kHeap, QueueKind::kCalendar};
-
-const char* kind_name(QueueKind kind) {
-  return kind == QueueKind::kHeap ? "heap" : "calendar";
-}
+template <class Sim>
+struct HandleOf {
+  using type = EventHandle;
+};
+template <>
+struct HandleOf<ReferenceQueue> {
+  using type = ReferenceQueue::Handle;
+};
 
 /// One randomized schedule, fully determined by (seed, n): an initial wave
 /// with heavy timestamp ties, a slice of immediate cancellations, a slice
 /// of in-run cancellations (tombstones reclaimed while the queue drains),
 /// and nested scheduling — some actions spawn a child at the current
 /// timestamp, some in the near future. Returns the exact firing log.
-std::string run_script(QueueKind kind, std::uint64_t seed, std::size_t n) {
-  Simulation sim(kind);
+template <class Sim>
+std::string run_script(std::uint64_t seed, std::size_t n) {
+  Sim sim;
   atlarge::stats::Rng rng(seed);
   std::string log;
-  std::vector<EventHandle> handles;
+  std::vector<typename HandleOf<Sim>::type> handles;
   handles.reserve(n);
 
   for (std::size_t i = 0; i < n; ++i) {
@@ -92,137 +162,134 @@ std::string run_script(QueueKind kind, std::uint64_t seed, std::size_t n) {
   return log;
 }
 
-TEST(SimQueueProperty, BackendsProduceByteIdenticalOrderings) {
+/// Times spanning twelve orders of magnitude: most of the queue sits far
+/// in the future of the event being fired.
+template <class Sim>
+std::string sparse_far_future_script(std::uint64_t seed) {
+  Sim sim;
+  atlarge::stats::Rng rng(seed);
+  std::string log;
+  for (std::size_t i = 0; i < 300; ++i) {
+    const double magnitude = static_cast<double>(rng.uniform_int(0, 12));
+    const double t = rng.uniform() * std::pow(10.0, magnitude);
+    sim.schedule_at(t, [&log, &sim, i] {
+      log += std::to_string(i) + "@" + exact(sim.now()) + ";";
+    });
+  }
+  sim.run();
+  return log;
+}
+
+/// Alternating large waves and near-empty drains: the queue grows to
+/// thousands of records, empties, and grows again.
+template <class Sim>
+std::string grow_shrink_script() {
+  Sim sim;
+  atlarge::stats::Rng rng(99);
+  std::string log;
+  double base = 0.0;
+  for (int wave = 0; wave < 4; ++wave) {
+    const std::size_t count = wave % 2 == 0 ? 2000 : 30;
+    for (std::size_t i = 0; i < count; ++i) {
+      const double t = base + rng.uniform() * 50.0;
+      sim.schedule_at(t, [&log, &sim, i] {
+        log += std::to_string(i) + "@" + exact(sim.now()) + ";";
+      });
+    }
+    sim.run();
+    base += 100.0;
+  }
+  return log;
+}
+
+TEST(SimQueueProperty, RandomScheduleMatchesReferenceOrdering) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     for (const std::size_t n : {17u, 200u, 1500u}) {
-      const std::string heap_log = run_script(QueueKind::kHeap, seed, n);
-      const std::string cal_log = run_script(QueueKind::kCalendar, seed, n);
-      ASSERT_EQ(heap_log, cal_log)
-          << "backends diverged at seed=" << seed << " n=" << n;
+      const std::string heap_log = run_script<Simulation>(seed, n);
+      const std::string ref_log = run_script<ReferenceQueue>(seed, n);
+      ASSERT_EQ(heap_log, ref_log)
+          << "kernel diverged from the reference at seed=" << seed
+          << " n=" << n;
       ASSERT_FALSE(heap_log.empty());
     }
   }
 }
 
 TEST(SimQueueProperty, TiesFireInScheduleOrder) {
-  for (const QueueKind kind : kBothKinds) {
-    Simulation sim(kind);
-    std::string log;
-    for (int i = 0; i < 100; ++i) {
-      sim.schedule_at(5.0, [&log, i] { log += std::to_string(i) + ";"; });
-    }
-    sim.run();
-    std::string want;
-    for (int i = 0; i < 100; ++i) want += std::to_string(i) + ";";
-    EXPECT_EQ(log, want) << kind_name(kind);
+  Simulation sim;
+  std::string log;
+  for (int i = 0; i < 100; ++i) {
+    sim.schedule_at(5.0, [&log, i] { log += std::to_string(i) + ";"; });
   }
+  sim.run();
+  std::string want;
+  for (int i = 0; i < 100; ++i) want += std::to_string(i) + ";";
+  EXPECT_EQ(log, want);
 }
 
 TEST(SimQueueProperty, SparseFarFutureSchedulesMatch) {
-  // Times spanning twelve orders of magnitude force the calendar queue
-  // through its direct-search fallback (a whole year of buckets empty) and
-  // its resize paths; the ordering must still match the heap exactly.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    auto script = [seed](QueueKind kind) {
-      Simulation sim(kind);
-      atlarge::stats::Rng rng(seed);
-      std::string log;
-      for (std::size_t i = 0; i < 300; ++i) {
-        const double magnitude =
-            static_cast<double>(rng.uniform_int(0, 12));
-        const double t = rng.uniform() * std::pow(10.0, magnitude);
-        sim.schedule_at(t, [&log, &sim, i] {
-          log += std::to_string(i) + "@" + exact(sim.now()) + ";";
-        });
-      }
-      sim.run();
-      return log;
-    };
-    EXPECT_EQ(script(QueueKind::kHeap), script(QueueKind::kCalendar))
+    EXPECT_EQ(sparse_far_future_script<Simulation>(seed),
+              sparse_far_future_script<ReferenceQueue>(seed))
         << "seed=" << seed;
   }
 }
 
-TEST(SimQueueProperty, GrowShrinkChurnMatchesHeap) {
-  // Alternating large waves and near-empty drains walk the calendar
-  // through grow and shrink resizes; orderings must stay identical.
-  auto script = [](QueueKind kind) {
-    Simulation sim(kind);
-    atlarge::stats::Rng rng(99);
-    std::string log;
-    double base = 0.0;
-    for (int wave = 0; wave < 4; ++wave) {
-      const std::size_t count = wave % 2 == 0 ? 2000 : 30;
-      for (std::size_t i = 0; i < count; ++i) {
-        const double t = base + rng.uniform() * 50.0;
-        sim.schedule_at(t, [&log, &sim, i] {
-          log += std::to_string(i) + "@" + exact(sim.now()) + ";";
-        });
-      }
-      sim.run();
-      base += 100.0;
-    }
-    return log;
-  };
-  EXPECT_EQ(script(QueueKind::kHeap), script(QueueKind::kCalendar));
+TEST(SimQueueProperty, GrowShrinkChurnMatchesReference) {
+  EXPECT_EQ(grow_shrink_script<Simulation>(),
+            grow_shrink_script<ReferenceQueue>());
 }
 
 // ------------------------------------------------ batched dispatch edges --
 
 TEST(SimQueueBatch, StopMidBatchPreservesRemainderAndOrder) {
-  for (const QueueKind kind : kBothKinds) {
-    Simulation sim(kind);
-    std::string log;
-    for (int i = 0; i < 6; ++i) {
-      sim.schedule_at(1.0, [&log, &sim, i] {
-        log += std::to_string(i) + ";";
-        if (i == 2) sim.stop();
-      });
-    }
-    EXPECT_EQ(sim.run(), 3u) << kind_name(kind);
-    EXPECT_EQ(log, "0;1;2;") << kind_name(kind);
-    EXPECT_EQ(sim.pending(), 3u) << kind_name(kind);
-    // Resuming drains the rest of the interrupted batch in the original
-    // order at the same timestamp.
-    EXPECT_EQ(sim.run(), 3u) << kind_name(kind);
-    EXPECT_EQ(log, "0;1;2;3;4;5;") << kind_name(kind);
-    EXPECT_EQ(sim.now(), 1.0) << kind_name(kind);
+  Simulation sim;
+  std::string log;
+  for (int i = 0; i < 6; ++i) {
+    sim.schedule_at(1.0, [&log, &sim, i] {
+      log += std::to_string(i) + ";";
+      if (i == 2) sim.stop();
+    });
   }
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(log, "0;1;2;");
+  EXPECT_EQ(sim.pending(), 3u);
+  // Resuming drains the rest of the interrupted batch in the original
+  // order at the same timestamp.
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(log, "0;1;2;3;4;5;");
+  EXPECT_EQ(sim.now(), 1.0);
 }
 
 TEST(SimQueueBatch, CancelInsideBatchPreventsLaterEqualTimeFire) {
-  for (const QueueKind kind : kBothKinds) {
-    Simulation sim(kind);
-    std::string log;
-    EventHandle last;
-    sim.schedule_at(1.0, [&log, &last] {
-      log += "a;";
-      EXPECT_TRUE(last.cancel());
-    });
-    sim.schedule_at(1.0, [&log] { log += "b;"; });
-    last = sim.schedule_at(1.0, [&log] { log += "victim;"; });
-    sim.run();
-    EXPECT_EQ(log, "a;b;") << kind_name(kind);
-    EXPECT_EQ(sim.pending(), 0u) << kind_name(kind);
-  }
+  Simulation sim;
+  std::string log;
+  EventHandle last;
+  sim.schedule_at(1.0, [&log, &last] {
+    log += "a;";
+    EXPECT_TRUE(last.cancel());
+  });
+  sim.schedule_at(1.0, [&log] { log += "b;"; });
+  last = sim.schedule_at(1.0, [&log] { log += "victim;"; });
+  sim.run();
+  EXPECT_EQ(log, "a;b;");
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(SimQueueBatch, SameTimeChildFiresAtSameTimestampAfterBatch) {
-  for (const QueueKind kind : kBothKinds) {
-    Simulation sim(kind);
-    std::string log;
+  Simulation sim;
+  std::string log;
+  sim.schedule_at(2.0, [&log, &sim] {
+    log += "parent;";
     sim.schedule_at(2.0, [&log, &sim] {
-      log += "parent;";
-      sim.schedule_at(2.0, [&log, &sim] {
-        log += "child@" + exact(sim.now()) + ";";
-      });
+      log += "child@" + exact(sim.now()) + ";";
     });
-    sim.schedule_at(2.0, [&log] { log += "sibling;"; });
-    sim.run();
-    // The child carries a larger sequence number: it fires after every
-    // event of the original batch, still at t=2.
-    EXPECT_EQ(log, "parent;sibling;child@2;") << kind_name(kind);
-  }
+  });
+  sim.schedule_at(2.0, [&log] { log += "sibling;"; });
+  sim.run();
+  // The child carries a larger sequence number: it fires after every
+  // event of the original batch, still at t=2.
+  EXPECT_EQ(log, "parent;sibling;child@2;");
 }
 
 // --------------------------------------------------- allocation tracking --
@@ -241,9 +308,9 @@ struct Ticker {
 };
 
 TEST(SimQueueAlloc, ReservedHeapSteadyStateIsAllocationFree) {
-  // The heap backend is exactly zero-alloc from the first event: reserve()
-  // pre-sizes every structure the run can touch.
-  Simulation sim(QueueKind::kHeap);
+  // Zero-alloc from the first event: reserve() pre-sizes every structure
+  // the run can touch.
+  Simulation sim;
   sim.reserve(512);
   std::uint64_t remaining = 5000;
   for (int i = 0; i < 64; ++i) {
@@ -256,43 +323,21 @@ TEST(SimQueueAlloc, ReservedHeapSteadyStateIsAllocationFree) {
       << "a pre-sized steady-state heap run touched the system allocator";
 }
 
-TEST(SimQueueAlloc, ReservedCalendarReachesZeroAllocSteadyState) {
-  // The calendar backend cannot know at reserve() time which buckets the
-  // schedule will cluster on (that depends on event spacing vs bucket
-  // width), so bucket capacities adapt during a first rotation of the
-  // table — after that warm-up, the steady state is allocation-free.
-  Simulation sim(QueueKind::kCalendar);
-  sim.reserve(512);
-  std::uint64_t remaining = 5000;
-  for (int i = 0; i < 64; ++i) {
-    sim.schedule_at(0.01 * static_cast<double>(i),
-                    Ticker{&sim, &remaining, 1.0 + 0.001 * i});
-  }
-  sim.run_until(2600.0);
-  const std::uint64_t warmup_allocs = sim.alloc_events();
-  sim.run();
-  EXPECT_EQ(remaining, 0u);
-  EXPECT_EQ(sim.alloc_events(), warmup_allocs)
-      << "calendar backend still allocating after warm-up";
-}
-
 TEST(SimQueueAlloc, ObserverMirrorsAllocEvents) {
   struct CountingObserver final : atlarge::sim::Observer {
     std::uint64_t allocs = 0;
     void on_alloc_event() override { ++allocs; }
   };
-  for (const QueueKind kind : kBothKinds) {
-    Simulation sim(kind);
-    CountingObserver obs;
-    sim.set_observer(&obs);
-    // No reserve: growth must be visible through both channels, in sync.
-    for (int i = 0; i < 2000; ++i) {
-      sim.schedule_at(static_cast<double>(i % 50), [] {});
-    }
-    sim.run();
-    EXPECT_GT(sim.alloc_events(), 0u) << kind_name(kind);
-    EXPECT_EQ(sim.alloc_events(), obs.allocs) << kind_name(kind);
+  Simulation sim;
+  CountingObserver obs;
+  sim.set_observer(&obs);
+  // No reserve: growth must be visible through both channels, in sync.
+  for (int i = 0; i < 2000; ++i) {
+    sim.schedule_at(static_cast<double>(i % 50), [] {});
   }
+  sim.run();
+  EXPECT_GT(sim.alloc_events(), 0u);
+  EXPECT_EQ(sim.alloc_events(), obs.allocs);
 }
 
 TEST(SimQueueAlloc, OversizePayloadsAllocateOnlyWhenUnreserved) {
@@ -313,17 +358,6 @@ TEST(SimQueueAlloc, OversizePayloadsAllocateOnlyWhenUnreserved) {
   }
   sim.run();
   EXPECT_EQ(sim.alloc_events(), 0u);
-}
-
-TEST(SimQueueAlloc, DefaultQueueKindControlsNewSimulations) {
-  EXPECT_EQ(Simulation().queue_kind(), QueueKind::kHeap);
-  {
-    QueueKindGuard guard(QueueKind::kCalendar);
-    EXPECT_EQ(Simulation().queue_kind(), QueueKind::kCalendar);
-    // An explicit constructor argument overrides the process default.
-    EXPECT_EQ(Simulation(QueueKind::kHeap).queue_kind(), QueueKind::kHeap);
-  }
-  EXPECT_EQ(Simulation().queue_kind(), QueueKind::kHeap);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // recorder, the kernel sampling hook, the SLO burn-rate monitor, and the
 // causal FlightRecorder — plus the determinism property the whole plane
 // promises: every telemetry artifact is a pure function of sim-time state,
-// byte-identical across queue backends.
+// byte-identical across runs.
 
 #include <gtest/gtest.h>
 
@@ -314,24 +314,29 @@ TEST(SamplingHook, AttachmentAlignsToAbsoluteGrid) {
   EXPECT_EQ(hook.boundaries, (std::vector<double>{3.0, 4.0}));
 }
 
-TEST(SamplingHook, BoundaryStreamIdenticalAcrossQueueBackends) {
-  const auto run = [](sim::QueueKind kind) {
-    sim::Simulation s(kind);
-    RecordingHook hook;
-    int fired = 0;
-    hook.cursor = &fired;
-    s.set_sampling_hook(&hook, 0.5);
-    stats::Rng rng(9);
-    for (int i = 0; i < 500; ++i)
-      s.schedule_at(rng.uniform(0.0, 40.0), [&fired] { ++fired; });
-    s.run_until(50.0);
-    return std::pair{hook.boundaries, hook.cursor_at_sample};
-  };
-  const auto heap = run(sim::QueueKind::kHeap);
-  const auto calendar = run(sim::QueueKind::kCalendar);
-  EXPECT_EQ(heap.first, calendar.first);
-  EXPECT_EQ(heap.second, calendar.second);
-  EXPECT_EQ(heap.first.size(), 100u);  // 0.5 .. 50.0
+TEST(SamplingHook, BoundaryStreamMatchesEventTimesOnRandomSchedule) {
+  sim::Simulation s;
+  RecordingHook hook;
+  int fired = 0;
+  hook.cursor = &fired;
+  s.set_sampling_hook(&hook, 0.5);
+  stats::Rng rng(9);
+  std::vector<double> times;
+  for (int i = 0; i < 500; ++i) {
+    times.push_back(rng.uniform(0.0, 40.0));
+    s.schedule_at(times.back(), [&fired] { ++fired; });
+  }
+  s.run_until(50.0);
+  ASSERT_EQ(hook.boundaries.size(), 100u);  // 0.5 .. 50.0
+  // Each sample sees exactly the events strictly earlier than its
+  // boundary, counted by brute force over the scheduled times.
+  for (std::size_t k = 0; k < hook.boundaries.size(); ++k) {
+    EXPECT_EQ(hook.boundaries[k], 0.5 * static_cast<double>(k + 1));
+    const auto earlier = std::count_if(
+        times.begin(), times.end(),
+        [&](double t) { return t < hook.boundaries[k]; });
+    EXPECT_EQ(hook.cursor_at_sample[k], earlier) << "boundary " << k;
+  }
 }
 
 // ------------------------------------------------------------ slo monitor --
@@ -610,15 +615,10 @@ std::string sched_telemetry_fingerprint() {
          "\n#\n" + plane.metrics.json();
 }
 
-TEST(TelemetryDeterminism, ArtifactsByteIdenticalAcrossRunsAndBackends) {
-  const std::string heap_a = sched_telemetry_fingerprint();
-  const std::string heap_b = sched_telemetry_fingerprint();
-  EXPECT_EQ(heap_a, heap_b) << "telemetry is not a pure function of inputs";
-  sim::set_default_queue_kind(sim::QueueKind::kCalendar);
-  const std::string calendar = sched_telemetry_fingerprint();
-  sim::set_default_queue_kind(sim::QueueKind::kHeap);
-  EXPECT_EQ(heap_a, calendar)
-      << "telemetry differs between queue backends";
+TEST(TelemetryDeterminism, ArtifactsByteIdenticalAcrossRuns) {
+  const std::string a = sched_telemetry_fingerprint();
+  const std::string b = sched_telemetry_fingerprint();
+  EXPECT_EQ(a, b) << "telemetry is not a pure function of inputs";
 }
 
 TEST(TelemetryDeterminism, DomainResultDigestsIndependentOfPlane) {
